@@ -1,20 +1,23 @@
-// Ingest-pipeline benchmark: serial vs. parallel CSR assembly, chunked
-// text parsing, and the content-addressed graph cache (docs/INGEST.md).
+// Ingest-pipeline benchmark: CSR assembly at 1 vs. N build threads,
+// chunked text parsing, and the content-addressed graph cache
+// (docs/INGEST.md).
 //
 // Six tables:
-//   1. build_serial_vs_parallel — Builder::build() on the largest suite
-//      inputs' edge lists, serial vs. the three-phase parallel pipeline,
-//      with a byte-identity check between the two outputs;
+//   1. build_1_vs_n_threads — Builder::build() on the largest suite
+//      inputs' edge lists, the one assembly pipeline at 1 build thread
+//      vs. N (set_build_threads), with a byte-identity check between the
+//      two outputs;
 //   2. build_worker_attribution — per-worker busy time / task counts from
-//      the ingest pool while the parallel build runs (on a single-core
+//      the ingest pool while the N-thread build runs (on a single-core
 //      host, wall-clock speedup is unavailable, so this is the evidence
 //      that the pipeline actually fans out);
 //   3. parse_serial_vs_parallel — chunked Matrix Market / edge-list /
 //      DIMACS parsing at 1 vs. N ingest threads;
 //   4. cache_cold_vs_warm — cold generate+build vs. warm cache hit for the
 //      same inputs, with the speedup factor (target: >= 5x);
-//   5. build_peak_rss — materialized (edge list + Builder) vs. streamed
-//      (build_from_chunks, no edge list) peak RSS for the chunked
+//   5. build_peak_rss — materialized (stage the stream into a Builder,
+//      then the same pipeline) vs. streamed (build_from_chunks straight
+//      from the generator, no edge list) peak RSS for the chunked
 //      generator streams; above tiny scale these rows are the scale=huge
 //      suite parameterizations (~10^8 arcs) and the streamed peak must
 //      stay under 2x the final CSR bytes;
@@ -143,21 +146,20 @@ int main(int argc, char** argv) {
       "Ingest pipeline: parallel CSR build, chunked parsing, graph cache");
   const u32 threads = build_threads();
 
-  // --- 1+2: serial vs parallel build, with worker attribution --------------
+  // --- 1+2: 1 vs N build threads, with worker attribution -----------------
   {
     // On a single-core host build_threads() is 1 and the pool would be
-    // skipped entirely; force a multi-worker pool so the parallel pipeline
-    // (not the serial fallback) is what gets measured. Wall-clock speedup
-    // on such a host comes from the pipeline's counting sort beating the
-    // global stable sort, not from concurrency — the attribution table is
-    // the evidence the work actually fans out across workers.
+    // skipped entirely; force a multi-worker pool so the fanned-out
+    // pipeline is what gets measured. Wall-clock speedup on such a host is
+    // unavailable — the attribution table is the evidence the work
+    // actually fans out across workers.
     const u32 fan_threads = threads > 1 ? threads : 7;
-    Table t("CSR assembly: serial vs. parallel pipeline (" +
-            std::to_string(fan_threads) + " ingest threads)");
-    t.set_header({"Graph", "Edges", "serial ms", "parallel ms", "speedup",
+    Table t("CSR assembly: 1 vs. " + std::to_string(fan_threads) +
+            " build threads");
+    t.set_header({"Graph", "Edges", "1-thread ms", "N-thread ms", "speedup",
                   "identical"});
     Table w("Parallel build: per-worker attribution (" +
-            std::to_string(fan_threads) + " ingest threads)");
+            std::to_string(fan_threads) + " build threads)");
     w.set_header({"Graph", "workers used", "tasks", "busy ms total",
                   "max worker share"});
     for (const char* name : kInputs) {
@@ -167,29 +169,27 @@ int main(int argc, char** argv) {
       opt.directed = g.directed();
       opt.weighted = g.weighted();
 
-      set_build_threads(1);  // pipeline still runs, but inline
-      graph::set_parallel_build_min_edges(edges.size() + 1);  // force serial
-      graph::Csr serial_g;
-      const double serial_ms = median_ms(
-          ctx.runs, [&] { serial_g = graph::from_edges(n, edges, opt); });
+      set_build_threads(1);  // the pipeline runs inline on the caller
+      graph::Csr one_g;
+      const double one_ms = median_ms(
+          ctx.runs, [&] { one_g = graph::from_edges(n, edges, opt); });
 
-      graph::set_parallel_build_min_edges(1);
       set_build_threads(fan_threads);
       Pool* pool = build_pool();
       ECLP_CHECK(pool != nullptr);
       pool->reset_worker_samples();
       pool->set_sampling(true);
-      graph::Csr parallel_g;
-      const double parallel_ms = median_ms(
-          ctx.runs, [&] { parallel_g = graph::from_edges(n, edges, opt); });
+      graph::Csr n_g;
+      const double n_ms = median_ms(
+          ctx.runs, [&] { n_g = graph::from_edges(n, edges, opt); });
       pool->set_sampling(false);
 
-      const bool identical = bytes_of(serial_g) == bytes_of(parallel_g);
+      const bool identical = bytes_of(one_g) == bytes_of(n_g);
       t.add_row({name, std::to_string(edges.size()),
-                 fmt::fixed(serial_ms, 2), fmt::fixed(parallel_ms, 2),
-                 fmt::fixed(serial_ms / parallel_ms, 2),
+                 fmt::fixed(one_ms, 2), fmt::fixed(n_ms, 2),
+                 fmt::fixed(one_ms / n_ms, 2),
                  identical ? "yes" : "NO"});
-      ECLP_CHECK_MSG(identical, "parallel build diverged from serial");
+      ECLP_CHECK_MSG(identical, "N-thread build diverged from 1 thread");
 
       u64 tasks = 0, busy_ns = 0, max_busy = 0;
       u32 used = 0;
@@ -209,7 +209,7 @@ int main(int argc, char** argv) {
                                   1) + "%"});
       set_build_threads(threads);
     }
-    harness::emit(ctx, "build_serial_vs_parallel", t);
+    harness::emit(ctx, "build_1_vs_n_threads", t);
     harness::emit(ctx, "build_worker_attribution", w);
   }
 
@@ -252,7 +252,6 @@ int main(int argc, char** argv) {
                         return graph::parse_dimacs_sp(text, true);
                       }});
     }
-    graph::set_parallel_build_min_edges(0);  // restore default threshold
     for (const auto& f : fmts) {
       set_build_threads(1);
       const double one_ms = median_ms(ctx.runs, [&] { f.parse(); });

@@ -1,201 +1,11 @@
 #include "graph/builder.hpp"
 
 #include <algorithm>
-#include <atomic>
 
+#include "graph/stream_build.hpp"
 #include "support/parallel_for.hpp"
 
 namespace eclp::graph {
-
-namespace {
-
-// Below this many (post-mirror) edges the pool barriers cost more than the
-// sort they replace; the serial path runs instead. Tests lower it to force
-// the parallel pipeline onto tiny inputs (set_parallel_build_min_edges).
-constexpr usize kDefaultParallelMinEdges = 1 << 12;
-std::atomic<usize> g_parallel_min_edges{kDefaultParallelMinEdges};
-
-// One adjacency slot during assembly. Weights ride along even for
-// unweighted builds (they are dropped at the end) so there is a single
-// scatter/sort path.
-struct Adj {
-  vidx dst;
-  weight_t w;
-};
-
-/// The original serial assembly: one global stable sort by (src, dst),
-/// dedupe, then a linear sweep into the CSR arrays. The parallel pipeline
-/// below must reproduce these bytes exactly; this path remains both the
-/// small-input fast path and the reference the equivalence tests compare
-/// against (tests/ingest_test.cpp).
-Csr assemble_serial(std::vector<Edge>& edges, vidx num_vertices,
-                    const BuildOptions& opt) {
-  // Sort by (src, dst) so CSR assembly is a linear sweep and adjacency comes
-  // out sorted; a stable sort keeps the first-inserted weight for dupes.
-  std::stable_sort(edges.begin(), edges.end(),
-                   [](const Edge& a, const Edge& b) {
-                     return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-                   });
-
-  if (opt.dedupe) {
-    edges.erase(std::unique(edges.begin(), edges.end(),
-                            [](const Edge& a, const Edge& b) {
-                              return a.src == b.src && a.dst == b.dst;
-                            }),
-                edges.end());
-  }
-
-  std::vector<eidx> offsets(static_cast<usize>(num_vertices) + 1, 0);
-  for (const Edge& e : edges) offsets[e.src + 1]++;
-  for (usize v = 1; v < offsets.size(); ++v) offsets[v] += offsets[v - 1];
-
-  std::vector<vidx> targets(edges.size());
-  std::vector<weight_t> weights;
-  if (opt.weighted) weights.resize(edges.size());
-  // Edges are already grouped and ordered by src, so a direct copy keeps
-  // adjacency sorted when requested.
-  for (usize i = 0; i < edges.size(); ++i) {
-    targets[i] = edges[i].dst;
-    if (opt.weighted) weights[i] = edges[i].w;
-  }
-  return Csr::from_parts(num_vertices, std::move(offsets),
-                         std::move(targets), std::move(weights),
-                         opt.directed);
-}
-
-/// Parallel assembly. Replaces the O(E log E) global sort with
-///   1. per-chunk source histograms,
-///   2. prefix sums turning the histograms into per-(chunk, source)
-///      scatter cursors,
-///   3. a stable scatter — chunk c writes its edges, in input order, at
-///      its reserved cursor positions,
-/// followed by a per-adjacency stable sort by destination and a keep-first
-/// dedupe. Phases 1 and 3 reproduce a *stable counting sort by source*
-/// for any chunking: within every source, edges stay in input order. A
-/// stable per-row sort by dst on top of that equals the serial path's
-/// stable sort by (src, dst), so the output is bit-identical to
-/// assemble_serial at any thread count (docs/INGEST.md spells the
-/// argument out; tests/ingest_test.cpp checks it for the full suite).
-Csr assemble_parallel(std::vector<Edge>& edges, vidx num_vertices,
-                      const BuildOptions& opt, Pool& pool) {
-  const usize V = num_vertices;
-  const usize E = edges.size();
-  // One chunk per worker, capped so the histogram matrix (chunks x V
-  // cursors) stays within a fixed footprint on huge vertex sets.
-  u64 chunks = pool.size();
-  while (chunks > 1 && chunks * V > kParallelHistogramEntryCap) --chunks;
-  if (chunks <= 1) return assemble_serial(edges, num_vertices, opt);
-
-  // Phase 1: per-chunk histogram over edge sources. Row c of `cursors` is
-  // written only by the worker draining chunk c.
-  std::vector<eidx> cursors(chunks * V, 0);
-  parallel_for_chunks(&pool, E, chunks,
-                      [&](u64 chunk, u64 begin, u64 end, u32) {
-                        eidx* mine = cursors.data() + chunk * V;
-                        for (u64 i = begin; i < end; ++i) {
-                          mine[edges[i].src]++;
-                        }
-                      });
-
-  // Phase 2a: row starts — exclusive prefix sum over per-source totals.
-  std::vector<eidx> row_start(V + 1, 0);
-  {
-    u64 running = 0;
-    for (usize s = 0; s < V; ++s) {
-      row_start[s] = static_cast<eidx>(running);
-      for (u64 c = 0; c < chunks; ++c) running += cursors[c * V + s];
-    }
-    row_start[V] = static_cast<eidx>(running);
-  }
-  // Phase 2b: turn the histograms into scatter cursors — column-wise
-  // exclusive scan over chunks, parallel across disjoint source ranges.
-  parallel_for_chunks(&pool, V, chunks, [&](u64, u64 begin, u64 end, u32) {
-    for (u64 s = begin; s < end; ++s) {
-      eidx cursor = row_start[s];
-      for (u64 c = 0; c < chunks; ++c) {
-        const eidx count = cursors[c * V + s];
-        cursors[c * V + s] = cursor;
-        cursor += count;
-      }
-    }
-  });
-
-  // Phase 3: stable scatter. Chunk c's cursor for source s starts exactly
-  // where chunk c-1's edges for s end, so concatenation order == input
-  // order within every source; (chunk, source) cursor slots are private to
-  // one worker, so the increments need no atomics.
-  std::vector<Adj> adj(E);
-  parallel_for_chunks(&pool, E, chunks,
-                      [&](u64 chunk, u64 begin, u64 end, u32) {
-                        eidx* cursor = cursors.data() + chunk * V;
-                        for (u64 i = begin; i < end; ++i) {
-                          const Edge& e = edges[i];
-                          adj[cursor[e.src]++] = {e.dst, e.w};
-                        }
-                      });
-  edges.clear();
-  edges.shrink_to_fit();
-  cursors.clear();
-  cursors.shrink_to_fit();
-
-  // Phase 4: per-adjacency stable sort by dst (stable ⇒ the first-inserted
-  // weight survives dedupe, matching the serial stable sort) and in-place
-  // keep-first dedupe. More chunks than workers so stealing can rebalance
-  // skewed degree mass (one hub row can dominate a whole range).
-  std::vector<eidx> kept(V, 0);
-  const u64 row_chunks = std::min<u64>(V, pool.size() * u64{8});
-  parallel_for_chunks(&pool, V, row_chunks, [&](u64, u64 bv, u64 ev, u32) {
-    for (u64 s = bv; s < ev; ++s) {
-      const auto begin = adj.begin() + row_start[s];
-      const auto end = adj.begin() + row_start[s + 1];
-      std::stable_sort(begin, end, [](const Adj& a, const Adj& b) {
-        return a.dst < b.dst;
-      });
-      if (opt.dedupe) {
-        const auto last = std::unique(begin, end,
-                                      [](const Adj& a, const Adj& b) {
-                                        return a.dst == b.dst;
-                                      });
-        kept[s] = static_cast<eidx>(last - begin);
-      } else {
-        kept[s] = static_cast<eidx>(end - begin);
-      }
-    }
-  });
-
-  // Phase 5: final offsets over the surviving counts, then a parallel
-  // compaction of each row's kept prefix into the CSR arrays.
-  std::vector<eidx> offsets(V + 1, 0);
-  for (usize s = 0; s < V; ++s) offsets[s + 1] = offsets[s] + kept[s];
-  std::vector<vidx> targets(offsets[V]);
-  std::vector<weight_t> weights;
-  if (opt.weighted) weights.resize(offsets[V]);
-  parallel_for_chunks(&pool, V, row_chunks, [&](u64, u64 bv, u64 ev, u32) {
-    for (u64 s = bv; s < ev; ++s) {
-      const Adj* row = adj.data() + row_start[s];
-      const eidx out = offsets[s];
-      for (eidx i = 0; i < kept[s]; ++i) {
-        targets[out + i] = row[i].dst;
-        if (opt.weighted) weights[out + i] = row[i].w;
-      }
-    }
-  });
-  return Csr::from_parts(num_vertices, std::move(offsets),
-                         std::move(targets), std::move(weights),
-                         opt.directed);
-}
-
-}  // namespace
-
-void set_parallel_build_min_edges(usize min_edges) {
-  g_parallel_min_edges.store(min_edges == 0 ? kDefaultParallelMinEdges
-                                            : min_edges,
-                             std::memory_order_relaxed);
-}
-
-usize parallel_build_min_edges() {
-  return g_parallel_min_edges.load(std::memory_order_relaxed);
-}
 
 void Builder::add(vidx src, vidx dst, weight_t w) {
   ECLP_CHECK_MSG(src < num_vertices_ && dst < num_vertices_,
@@ -204,56 +14,21 @@ void Builder::add(vidx src, vidx dst, weight_t w) {
   edges_.push_back({src, dst, w});
 }
 
-void Builder::add_edges(std::span<const Edge> edges) {
-  // Geometric growth: size + batch would make a loop of B-edge batches
-  // reallocate (and copy the whole staging vector) once per call. Doubling
-  // amortizes that to O(total) even when no reserve_edges hint was given.
-  const usize needed = edges_.size() + edges.size();
-  if (needed > edges_.capacity()) {
-    edges_.reserve(std::max(needed, edges_.capacity() * 2));
-  }
-  for (const Edge& e : edges) {
-    ECLP_CHECK_MSG(e.src < num_vertices_ && e.dst < num_vertices_,
-                   "edge (" << e.src << "," << e.dst << ") out of range, n="
-                            << num_vertices_);
-    edges_.push_back(e);
-  }
-}
-
 void Builder::reserve_edges(u64 edges) {
   edges_.reserve(static_cast<usize>(
       std::min<u64>(edges, edges_.max_size())));
 }
 
 Csr Builder::build(const BuildOptions& opt) {
-  std::vector<Edge> edges = std::move(edges_);
+  const std::vector<Edge> edges = std::move(edges_);
   edges_.clear();
-
-  if (opt.remove_self_loops) {
-    std::erase_if(edges, [](const Edge& e) { return e.src == e.dst; });
-  }
-  if (!opt.directed) {
-    const usize n = edges.size();
-    edges.reserve(n * 2);
-    for (usize i = 0; i < n; ++i) {
-      edges.push_back({edges[i].dst, edges[i].src, edges[i].w});
-    }
-  }
-
-  Pool* pool = build_pool();
-  if (pool == nullptr ||
-      edges.size() < g_parallel_min_edges.load(std::memory_order_relaxed)) {
-    return assemble_serial(edges, num_vertices_, opt);
-  }
-  return assemble_parallel(edges, num_vertices_, opt, *pool);
+  return from_edges(num_vertices_, edges, opt);
 }
 
 Csr from_edges(vidx num_vertices, const std::vector<Edge>& edges,
                const BuildOptions& opt) {
-  Builder b(num_vertices);
-  b.reserve_edges(edges.size());
-  for (const Edge& e : edges) b.add(e.src, e.dst, e.w);
-  return b.build(opt);
+  return build_from_chunks(
+      VectorChunkSource(num_vertices, edges, build_threads()), opt);
 }
 
 }  // namespace eclp::graph

@@ -1,21 +1,18 @@
-// Edge-list (COO) accumulation and conversion to CSR.
+// Edge-list (COO) staging and conversion to CSR.
 //
-// All generators and file readers produce edges through this builder, which
-// handles symmetrization, deduplication, self-loop removal, and adjacency
-// sorting. Sorted adjacency matters to the algorithms: ECL-CC's init
-// heuristic relies on the smallest neighbor appearing first (paper §6.1.3).
+// Generators and transforms that produce edges one at a time stage them in
+// this builder; build() hands the staged vector to the one CSR assembly
+// pipeline, build_from_chunks (graph/stream_build.hpp), which handles
+// symmetrization, deduplication, self-loop removal, and adjacency sorting.
+// Sorted adjacency matters to the algorithms: ECL-CC's init heuristic
+// relies on the smallest neighbor appearing first (paper §6.1.3).
 //
-// Assembly is host-parallel: above a size threshold, build() replaces the
-// global O(E log E) sort with a three-phase pipeline on the build pool
-// (histogram → prefix-sum → stable scatter, then per-adjacency sort; see
-// docs/INGEST.md). The output is bit-identical to the serial path at any
-// thread count — the sorted adjacency the algorithms rely on is preserved
-// exactly, and tests/ingest_test.cpp pins the byte identity for the whole
-// input suite. Thread count: ECLP_BUILD_THREADS / eclp::set_build_threads
-// (support/parallel_for.hpp).
+// The output is a pure function of the staged edge sequence: the same
+// bytes at any build thread count (ECLP_BUILD_THREADS /
+// eclp::set_build_threads, support/parallel_for.hpp), pinned for the whole
+// input suite by tests/ingest_test.cpp.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -35,8 +32,8 @@ struct BuildOptions {
   bool weighted = false;       ///< carry edge weights into the CSR
   bool remove_self_loops = true;
   bool dedupe = true;  ///< drop parallel edges (keep first weight)
-  // Adjacency lists always come out sorted ascending by id: CSR assembly
-  // sorts globally by (src, dst), and the sorted order is load-bearing for
+  // Adjacency lists always come out sorted ascending by id, as if by one
+  // stable sort by (src, dst); the sorted order is load-bearing for
   // ECL-CC's init heuristic (paper §6.1.3).
 };
 
@@ -45,27 +42,16 @@ class Builder {
   explicit Builder(vidx num_vertices) : num_vertices_(num_vertices) {}
 
   vidx num_vertices() const { return num_vertices_; }
-  usize num_pending_edges() const { return edges_.size(); }
 
-  /// Add one arc (or one undirected edge — mirroring happens in build()).
+  /// Add one arc (or one undirected edge — the mirror is emitted right
+  /// after it during build()).
   void add(vidx src, vidx dst, weight_t w = 0);
 
-  /// Bulk append (range-checked). The chunk-parallel readers hand their
-  /// per-chunk buffers over in chunk order through this. Capacity grows
-  /// geometrically (never by just the batch size), so bursty per-chunk
-  /// emission does not reallocate the staging vector once per batch —
-  /// pass the total through reserve_edges() up front to skip the growth
-  /// entirely.
-  void add_edges(std::span<const Edge> edges);
-
-  /// Capacity hint: generators and readers that know (or can estimate)
-  /// their edge count call this once before emitting. Deliberately u64 —
-  /// huge-scale estimates are computed in 64 bits; the builder clamps to
-  /// what the address space can hold.
+  /// Capacity hint: generators that know (or can estimate) their edge
+  /// count call this once before emitting. Deliberately u64 — huge-scale
+  /// estimates are computed in 64 bits; the builder clamps to what the
+  /// address space can hold.
   void reserve_edges(u64 edges);
-
-  /// Staged-edge capacity, exposed for the growth-policy tests.
-  usize capacity_edges() const { return edges_.capacity(); }
 
   /// Assemble the CSR. The builder is left empty afterwards.
   Csr build(const BuildOptions& opt = {});
@@ -75,21 +61,8 @@ class Builder {
   std::vector<Edge> edges_;
 };
 
-/// Convenience: build an undirected unweighted graph from an edge list.
+/// Build a CSR from an edge list (undirected and unweighted by default).
 Csr from_edges(vidx num_vertices, const std::vector<Edge>& edges,
                const BuildOptions& opt = {});
-
-/// Footprint cap shared by both parallel assembly paths — the COO
-/// pipeline in builder.cpp and the streamed pipeline in stream_build.hpp:
-/// at most this many (chunk, row) histogram/cursor entries (256 MiB of
-/// eidx). Chunk counts shrink to fit under it on huge vertex sets.
-inline constexpr usize kParallelHistogramEntryCap = usize{1} << 26;
-
-/// Minimum post-mirror edge count before build() switches from the serial
-/// sort to the parallel pipeline (the pool barriers do not pay for
-/// themselves on tiny inputs). 0 restores the default. Exposed so the
-/// equivalence tests can force the parallel path onto tiny suite graphs.
-void set_parallel_build_min_edges(usize min_edges);
-usize parallel_build_min_edges();
 
 }  // namespace eclp::graph

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "graph/builder.hpp"
+#include "graph/stream_build.hpp"
 #include "graph/text_parse.hpp"
 #include "support/parallel_for.hpp"
 
@@ -61,7 +61,7 @@ Header read_header(std::string_view& text, const std::string& expected_kind) {
 /// Chunk-parallel sweep over the body lines: every line must be a comment,
 /// blank, or start with `tag`; fn parses the payload after the tag into the
 /// chunk's private edge buffer. Buffers come back in chunk order, so the
-/// concatenation equals a serial sweep (docs/INGEST.md).
+/// canonical sequence they form equals a serial sweep (docs/INGEST.md).
 template <typename ParseLine>
 std::vector<std::vector<Edge>> parse_body(std::string_view body, char tag,
                                           const char* what,
@@ -106,13 +106,11 @@ Csr parse_dimacs_sp(std::string_view text, bool symmetrize) {
   ECLP_CHECK_MSG(arcs == h.edges, "dimacs sp: header promised "
                                       << h.edges << " arcs, file had "
                                       << arcs);
-  Builder b(static_cast<vidx>(h.vertices));
-  b.reserve_edges(arcs);
-  for (const auto& ce : chunk_edges) b.add_edges(ce);
   BuildOptions opt;
   opt.directed = !symmetrize;
   opt.weighted = true;
-  return b.build(opt);
+  return build_from_chunks(
+      VectorChunkSource(static_cast<vidx>(h.vertices), chunk_edges), opt);
 }
 
 Csr read_dimacs_sp(std::istream& is, bool symmetrize) {
@@ -150,10 +148,8 @@ Csr parse_dimacs_col(std::string_view text) {
   ECLP_CHECK_MSG(edges == h.edges, "dimacs col: header promised "
                                        << h.edges << " edges, file had "
                                        << edges);
-  Builder b(static_cast<vidx>(h.vertices));
-  b.reserve_edges(edges);
-  for (const auto& ce : chunk_edges) b.add_edges(ce);
-  return b.build();
+  return build_from_chunks(
+      VectorChunkSource(static_cast<vidx>(h.vertices), chunk_edges));
 }
 
 Csr read_dimacs_col(std::istream& is) {

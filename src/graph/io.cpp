@@ -11,6 +11,7 @@
 #include "graph/builder.hpp"
 #include "graph/cache.hpp"
 #include "graph/dimacs.hpp"
+#include "graph/stream_build.hpp"
 #include "graph/text_parse.hpp"
 #include "support/parallel_for.hpp"
 
@@ -176,8 +177,9 @@ Csr parse_matrix_market(std::string_view text) {
   ECLP_CHECK_MSG(rows < kNoVertex, "matrix market: too many vertices");
 
   // Chunk-parallel entry parse: byte ranges split at line boundaries, one
-  // private edge buffer per chunk, buffers appended in chunk order — the
-  // merged sequence equals a serial line-by-line sweep (docs/INGEST.md).
+  // private edge buffer per chunk, the buffers assembled in chunk order —
+  // the canonical sequence equals a serial line-by-line sweep
+  // (docs/INGEST.md).
   Pool* pool = build_pool();
   const auto chunks =
       detail::chunk_at_lines(rest, pool == nullptr ? 1 : pool->size());
@@ -206,13 +208,11 @@ Csr parse_matrix_market(std::string_view text) {
   ECLP_CHECK_MSG(total == entries, "matrix market: header promised "
                                        << entries << " entries, file had "
                                        << total);
-  Builder b(static_cast<vidx>(rows));
-  b.reserve_edges(total);
-  for (const auto& ce : chunk_edges) b.add_edges(ce);
   BuildOptions opt;
   opt.directed = !symmetric;
   opt.weighted = weighted;
-  return b.build(opt);
+  return build_from_chunks(
+      VectorChunkSource(static_cast<vidx>(rows), chunk_edges), opt);
 }
 
 Csr read_matrix_market(std::istream& is) {
@@ -256,22 +256,21 @@ Csr parse_edge_list(std::string_view text, bool directed, vidx num_vertices) {
   vidx max_id = 0;
   bool weighted = false;
   u64 total = 0;
-  for (const ChunkResult& r : results) {
+  std::vector<std::vector<Edge>> chunk_edges;
+  for (ChunkResult& r : results) {
     max_id = std::max(max_id, r.max_id);
     weighted = weighted || r.weighted;
     total += r.edges.size();
+    chunk_edges.push_back(std::move(r.edges));
   }
   const vidx n = num_vertices > 0 ? num_vertices
                                   : (total == 0 ? 0 : max_id + 1);
   ECLP_CHECK_MSG(n > max_id || total == 0,
                  "edge list: forced vertex count too small");
-  Builder b(n);
-  b.reserve_edges(total);
-  for (const ChunkResult& r : results) b.add_edges(r.edges);
   BuildOptions opt;
   opt.directed = directed;
   opt.weighted = weighted;
-  return b.build(opt);
+  return build_from_chunks(VectorChunkSource(n, chunk_edges), opt);
 }
 
 Csr read_edge_list(std::istream& is, bool directed, vidx num_vertices) {

@@ -1,42 +1,48 @@
-// Chunked streaming CSR assembly: build a graph directly from a
-// re-emittable chunked edge stream, never materializing the edge list.
-//
-// The classic Builder path costs ~16 bytes/edge of COO staging on top of
-// the CSR itself and forces generation to finish before assembly starts.
-// This header replaces that with the KaGen discipline: a *chunk source*
-// exposes a fixed number of chunks and can (re)emit any chunk's edges on
-// demand, deterministically per chunk id. build_from_chunks() then runs a
-// two-pass pipeline —
+// CSR assembly: the one pipeline every CSR in the repository is built
+// through. A *chunk source* exposes a fixed number of chunks and can
+// (re)emit any chunk's edges on demand, deterministically per chunk id
+// (the KaGen discipline). build_from_chunks() then runs a two-pass
+// pipeline —
 //
 //   pass 1  re-emit every chunk, accumulating per-(slot, row) degree
 //           histograms (slots group contiguous chunks so the cursor
 //           matrix stays under kParallelHistogramEntryCap);
-//   pass 2  re-emit every chunk again and scatter each edge straight into
-//           the final CSR adjacency array through per-(slot, row) cursors,
+//   pass 2  re-emit every chunk again and scatter each arc straight into
+//           the final adjacency array through per-(slot, row) cursors,
 //
-// followed by the same per-row sort + keep-first dedupe the materialized
-// pipeline runs. Peak memory is the final CSR plus the cursor matrix —
-// the edge list never exists.
+// followed by a per-row sort + keep-first dedupe and an in-place
+// compaction. Sources come in two kinds: the generator streams
+// (gen/stream.hpp) recompute their chunks, so the edge list never exists
+// and peak memory is the final CSR plus the cursor matrix; and
+// VectorChunkSource serves edges that already sit in memory — the
+// Builder's staging vector (Builder::build, from_edges) and the text
+// readers' per-chunk parse buffers.
 //
-// Determinism contract (docs/INGEST.md "Chunked streaming generation"):
-// emission within a chunk is sequential and a pure function of the chunk
-// id, so the concatenation of chunks in chunk order is one canonical edge
-// sequence. Both passes replay chunks in chunk order within each slot,
-// which makes the scatter a stable counting sort by source over that
-// canonical sequence — the same argument that makes assemble_parallel
-// bit-identical to the serial sort (builder.cpp). The output is therefore
-// byte-identical to materializing the canonical sequence and calling
-// from_edges(), at any build thread count and any slot grouping.
+// Determinism contract (docs/INGEST.md "Why bit-identity is the
+// contract"): emission within a chunk is sequential and a pure function of
+// the chunk id, so the concatenation of chunks in chunk order is one
+// canonical edge sequence. An undirected build mirrors every arc right
+// next to its original. Both passes replay chunks in chunk order within
+// each slot, which makes the scatter a stable counting sort by source over
+// that canonical sequence; the per-row sort by target on top of it equals
+// one stable sort by (src, dst) followed by a keep-first dedupe. The
+// output is therefore a pure function of the canonical sequence — the
+// same bytes at any build thread count and any chunk or slot grouping.
 //
-// Streams are unweighted: the sink carries (src, dst) only, and
-// build_from_chunks rejects opt.weighted. With all weights equal, equal
-// (src, dst) duplicates are indistinguishable, so byte identity survives
-// any interleaving of mirrored arcs too.
+// Weights: a source may call sink(src, dst, w); the generator streams call
+// sink(src, dst) and carry weight 0. Weighted builds scatter (dst, w)
+// slots and sort each row stably by dst, so a duplicate keeps the weight
+// that came first in canonical order — and because a mirror sits next to
+// its original, both directions of an undirected edge keep the same one.
+// Unweighted builds scatter bare targets and sort them with std::sort:
+// equal u32 targets are interchangeable, so stability buys nothing there.
 #pragma once
 
 #include <algorithm>
 #include <concepts>
 #include <cstring>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "graph/builder.hpp"
@@ -46,11 +52,11 @@
 namespace eclp::graph {
 
 /// A re-emittable chunked edge stream. `emit(chunk, sink)` must call
-/// `sink(src, dst)` for every edge of that chunk, in a fixed order that
-/// depends only on the chunk id — never on thread count, emission order
-/// across chunks, or how often the chunk was emitted before. gen::
-/// ChunkSource (gen/chunk_source.hpp) re-exports this concept for the
-/// generator layer.
+/// `sink(src, dst)` or `sink(src, dst, w)` for every edge of that chunk,
+/// in a fixed order that depends only on the chunk id — never on thread
+/// count, emission order across chunks, or how often the chunk was emitted
+/// before. gen::ChunkSource (gen/chunk_source.hpp) re-exports this concept
+/// for the generator layer.
 template <typename S>
 concept ChunkedEdgeSource =
     requires(const S& s, u64 chunk, void (&sink)(vidx, vidx)) {
@@ -60,42 +66,54 @@ concept ChunkedEdgeSource =
       s.emit(chunk, sink);
     };
 
-/// Adapter: serve an already-materialized edge list as a chunk source
-/// (weights are dropped — chunk streams are unweighted). This is how the
-/// equivalence tests drive every suite input, whatever generator built it,
-/// through the streamed pipeline. The span must outlive the adapter.
+/// Serve edges already in memory as a chunk source, weights included. The
+/// spans must outlive the adapter.
 class VectorChunkSource {
  public:
+  /// Split one edge list into `chunks` contiguous chunks.
   VectorChunkSource(vidx num_vertices, std::span<const Edge> edges,
                     u64 chunks)
-      : num_vertices_(num_vertices),
-        edges_(edges),
-        chunks_(std::max<u64>(1, std::min<u64>(chunks, std::max<usize>(
-                                                   1, edges.size())))) {}
+      : num_vertices_(num_vertices), edges_(edges.size()) {
+    const u64 n = std::max<u64>(1, std::min<u64>(chunks, edges.size()));
+    for (u64 c = 0; c < n; ++c) {
+      const auto [begin, end] = chunk_range(edges.size(), n, c);
+      chunks_.push_back(edges.subspan(begin, end - begin));
+    }
+  }
+
+  /// One chunk per buffer, in buffer order.
+  VectorChunkSource(vidx num_vertices,
+                    std::span<const std::vector<Edge>> buffers)
+      : num_vertices_(num_vertices), chunks_(buffers.begin(), buffers.end()) {
+    for (const auto& chunk : chunks_) edges_ += chunk.size();
+    if (chunks_.empty()) chunks_.emplace_back();
+  }
 
   vidx num_vertices() const { return num_vertices_; }
-  u64 num_chunks() const { return chunks_; }
-  u64 estimated_edges() const { return edges_.size(); }
+  u64 num_chunks() const { return chunks_.size(); }
+  u64 estimated_edges() const { return edges_; }
 
   template <typename Sink>
   void emit(u64 chunk, Sink&& sink) const {
-    const auto [begin, end] = chunk_range(edges_.size(), chunks_, chunk);
-    for (u64 i = begin; i < end; ++i) sink(edges_[i].src, edges_[i].dst);
+    for (const Edge& e : chunks_[chunk]) sink(e.src, e.dst, e.w);
   }
 
  private:
   vidx num_vertices_;
-  std::span<const Edge> edges_;
-  u64 chunks_;
+  u64 edges_ = 0;
+  std::vector<std::span<const Edge>> chunks_;
 };
+
+/// Footprint cap on the pipeline's cursor matrix: at most this many
+/// (slot, row) histogram/cursor entries (256 MiB of eidx). Slot counts
+/// shrink to fit under it on huge vertex sets.
+inline constexpr usize kParallelHistogramEntryCap = usize{1} << 26;
 
 namespace detail {
 
-/// Slot count for the streamed pipeline: one slot per pool worker (1 when
-/// ingest is sequential), never more than the source has chunks, and
-/// capped so the cursor matrix (slots x V entries of eidx) stays inside
-/// kParallelHistogramEntryCap — the same footprint bound the materialized
-/// pipeline applies (builder.cpp).
+/// Slot count: one slot per pool worker (1 when ingest is sequential),
+/// never more than the source has chunks, and capped so the cursor matrix
+/// (slots x V entries of eidx) stays inside kParallelHistogramEntryCap.
 inline u64 stream_build_slots(u64 chunks, usize num_vertices) {
   Pool* pool = build_pool();
   u64 slots = pool == nullptr ? 1 : pool->size();
@@ -105,42 +123,49 @@ inline u64 stream_build_slots(u64 chunks, usize num_vertices) {
   return slots;
 }
 
-}  // namespace detail
+/// One adjacency slot of a weighted build: the weight travels with its
+/// target through scatter, sort, and compaction.
+struct WeightedSlot {
+  vidx dst;
+  weight_t w;
+};
 
-/// Assemble a CSR straight from a chunk source, byte-identical to
-/// materializing the source's canonical edge sequence (chunks
-/// concatenated in chunk order) and calling from_edges() with the same
-/// options. Unweighted only.
-template <ChunkedEdgeSource S>
-Csr build_from_chunks(const S& source, const BuildOptions& opt = {}) {
-  ECLP_CHECK_MSG(!opt.weighted, "chunk streams are unweighted");
+inline vidx slot_dst(vidx slot) { return slot; }
+inline vidx slot_dst(const WeightedSlot& slot) { return slot.dst; }
+inline void put_slot(vidx& slot, vidx dst, weight_t) { slot = dst; }
+inline void put_slot(WeightedSlot& slot, vidx dst, weight_t w) {
+  slot = {dst, w};
+}
+
+/// The pipeline over `Slot`-typed adjacency entries (vidx or
+/// WeightedSlot). Returns the final row offsets and the compacted slots.
+template <typename Slot, ChunkedEdgeSource S>
+std::pair<std::vector<eidx>, std::vector<Slot>> assemble_rows(
+    const S& source, const BuildOptions& opt) {
   const vidx num_vertices = source.num_vertices();
   const usize V = num_vertices;
   const u64 chunks = std::max<u64>(1, source.num_chunks());
-  const u64 slots = detail::stream_build_slots(chunks, V);
+  const u64 slots = stream_build_slots(chunks, V);
   Pool* pool = build_pool();
 
   // Pass 1: per-slot degree histograms over the re-emitted stream. Mirror
-  // arcs are counted here too, so the mirrored edge list still never
+  // arcs are counted here too, so the mirrored edge list never
   // materializes. Row `slot * V + src` is written only by the worker
   // draining that slot's chunk range.
   std::vector<eidx> cursors(slots * V, 0);
   parallel_for_chunks(pool, chunks, slots,
                       [&](u64 slot, u64 cbegin, u64 cend, u32) {
                         eidx* mine = cursors.data() + slot * V;
-                        const auto count = [&](vidx u, vidx v) {
+                        const auto count = [&](vidx u, vidx v,
+                                               weight_t = 0) {
                           ECLP_CHECK_MSG(
                               u < num_vertices && v < num_vertices,
                               "edge (" << u << "," << v
                                        << ") out of range, n="
                                        << num_vertices);
-                          if (u == v) {
-                            if (opt.remove_self_loops) return;
-                            mine[u] += opt.directed ? 1 : 2;
-                          } else {
-                            mine[u]++;
-                            if (!opt.directed) mine[v]++;
-                          }
+                          if (u == v && opt.remove_self_loops) return;
+                          mine[u]++;
+                          if (!opt.directed) mine[v]++;
                         };
                         for (u64 c = cbegin; c < cend; ++c) {
                           source.emit(c, count);
@@ -149,7 +174,7 @@ Csr build_from_chunks(const S& source, const BuildOptions& opt = {}) {
 
   // Row starts (exclusive prefix over per-row totals), then a column-wise
   // exclusive scan turning the histograms into per-(slot, row) scatter
-  // cursors — the same two phases as the materialized pipeline.
+  // cursors.
   std::vector<eidx> row_start(V + 1, 0);
   {
     u64 running = 0;
@@ -158,8 +183,8 @@ Csr build_from_chunks(const S& source, const BuildOptions& opt = {}) {
       for (u64 c = 0; c < slots; ++c) running += cursors[c * V + s];
     }
     ECLP_CHECK_MSG(running <= static_cast<u64>(kNoEdge),
-                   "streamed graph exceeds 32-bit edge indices ("
-                       << running << " arcs)");
+                   "graph exceeds 32-bit edge indices (" << running
+                                                         << " arcs)");
     row_start[V] = static_cast<eidx>(running);
   }
   parallel_for_chunks(pool, V, slots, [&](u64, u64 begin, u64 end, u32) {
@@ -173,23 +198,19 @@ Csr build_from_chunks(const S& source, const BuildOptions& opt = {}) {
     }
   });
 
-  // Pass 2: re-emit every chunk and scatter arcs (originals and mirrors
-  // interleaved) straight into the final adjacency array. Cursor slots
+  // Pass 2: re-emit every chunk and scatter arcs, each mirror right after
+  // its original, straight into the final adjacency array. Cursor slots
   // are private per (slot, row), so no atomics; within every row, slot
   // order equals chunk order equals canonical order.
-  std::vector<vidx> targets(row_start[V]);
+  std::vector<Slot> adj(row_start[V]);
   parallel_for_chunks(pool, chunks, slots,
                       [&](u64 slot, u64 cbegin, u64 cend, u32) {
                         eidx* cursor = cursors.data() + slot * V;
-                        const auto scatter = [&](vidx u, vidx v) {
-                          if (u == v) {
-                            if (opt.remove_self_loops) return;
-                            targets[cursor[u]++] = u;
-                            if (!opt.directed) targets[cursor[u]++] = u;
-                          } else {
-                            targets[cursor[u]++] = v;
-                            if (!opt.directed) targets[cursor[v]++] = u;
-                          }
+                        const auto scatter = [&](vidx u, vidx v,
+                                                 weight_t w = 0) {
+                          if (u == v && opt.remove_self_loops) return;
+                          put_slot(adj[cursor[u]++], v, w);
+                          if (!opt.directed) put_slot(adj[cursor[v]++], u, w);
                         };
                         for (u64 c = cbegin; c < cend; ++c) {
                           source.emit(c, scatter);
@@ -198,19 +219,27 @@ Csr build_from_chunks(const S& source, const BuildOptions& opt = {}) {
   cursors.clear();
   cursors.shrink_to_fit();
 
-  // Per-row sort + keep-first dedupe, in place. Equal u32 values are
-  // interchangeable, so a plain sort yields the same bytes as the
-  // materialized pipeline's stable variant. More chunks than workers so
-  // stealing can rebalance hub rows.
+  // Per-row sort + keep-first dedupe, in place. More chunks than workers
+  // so stealing can rebalance hub rows.
   std::vector<eidx> kept(V, 0);
   const u64 row_chunks = std::min<u64>(std::max<usize>(1, V), slots * 8);
   parallel_for_chunks(pool, V, row_chunks, [&](u64, u64 bv, u64 ev, u32) {
     for (u64 s = bv; s < ev; ++s) {
-      vidx* const begin = targets.data() + row_start[s];
-      vidx* const end = targets.data() + row_start[s + 1];
-      std::sort(begin, end);
+      Slot* const begin = adj.data() + row_start[s];
+      Slot* const end = adj.data() + row_start[s + 1];
+      if constexpr (std::is_same_v<Slot, vidx>) {
+        std::sort(begin, end);
+      } else {
+        std::stable_sort(begin, end, [](const Slot& a, const Slot& b) {
+          return a.dst < b.dst;
+        });
+      }
       if (opt.dedupe) {
-        kept[s] = static_cast<eidx>(std::unique(begin, end) - begin);
+        const Slot* last = std::unique(
+            begin, end, [](const Slot& a, const Slot& b) {
+              return slot_dst(a) == slot_dst(b);
+            });
+        kept[s] = static_cast<eidx>(last - begin);
       } else {
         kept[s] = static_cast<eidx>(end - begin);
       }
@@ -232,10 +261,10 @@ Csr build_from_chunks(const S& source, const BuildOptions& opt = {}) {
                       [&](u64, u64 bv, u64 ev, u32) {
                         eidx w = row_start[bv];
                         for (u64 s = bv; s < ev; ++s) {
-                          vidx* const from = targets.data() + row_start[s];
+                          Slot* const from = adj.data() + row_start[s];
                           if (w != row_start[s] && kept[s] != 0) {
-                            std::memmove(targets.data() + w, from,
-                                         kept[s] * sizeof(vidx));
+                            std::memmove(adj.data() + w, from,
+                                         kept[s] * sizeof(Slot));
                           }
                           w += kept[s];
                         }
@@ -246,38 +275,65 @@ Csr build_from_chunks(const S& source, const BuildOptions& opt = {}) {
     const eidx src = row_start[bv];
     const eidx count = offsets[ev] - offsets[bv];
     if (dest != src && count != 0) {
-      std::memmove(targets.data() + dest, targets.data() + src,
-                   static_cast<usize>(count) * sizeof(vidx));
+      std::memmove(adj.data() + dest, adj.data() + src,
+                   static_cast<usize>(count) * sizeof(Slot));
     }
   }
   // resize() keeps the capacity — a shrink_to_fit here would briefly hold
   // both buffers, defeating the bounded-memory point. The slack is the
   // dedupe loss only.
-  targets.resize(offsets[V]);
-  return Csr::from_parts(num_vertices, std::move(offsets),
-                         std::move(targets), {}, opt.directed);
+  adj.resize(offsets[V]);
+  return {std::move(offsets), std::move(adj)};
+}
+
+}  // namespace detail
+
+/// Assemble a CSR from a chunk source: the source's canonical edge
+/// sequence (chunks concatenated in chunk order), mirrored inline when
+/// undirected, stably sorted by (src, dst), and deduped keep-first.
+template <ChunkedEdgeSource S>
+Csr build_from_chunks(const S& source, const BuildOptions& opt = {}) {
+  if (!opt.weighted) {
+    auto [offsets, targets] = detail::assemble_rows<vidx>(source, opt);
+    return Csr::from_parts(source.num_vertices(), std::move(offsets),
+                           std::move(targets), {}, opt.directed);
+  }
+  auto [offsets, slots] =
+      detail::assemble_rows<detail::WeightedSlot>(source, opt);
+  std::vector<vidx> targets(slots.size());
+  std::vector<weight_t> weights(slots.size());
+  for (usize i = 0; i < slots.size(); ++i) {
+    targets[i] = slots[i].dst;
+    weights[i] = slots[i].w;
+  }
+  return Csr::from_parts(source.num_vertices(), std::move(offsets),
+                         std::move(targets), std::move(weights),
+                         opt.directed);
 }
 
 /// Materialize the source's canonical edge sequence (chunks in chunk
-/// order). Reference semantics for build_from_chunks; tests and the
-/// peak-RSS bench use it as the "materialized" arm.
+/// order). The tests use it to hand a stream to their reference assembler.
 template <ChunkedEdgeSource S>
 std::vector<Edge> materialize_chunks(const S& source) {
   std::vector<Edge> edges;
   edges.reserve(source.estimated_edges());
   for (u64 c = 0; c < std::max<u64>(1, source.num_chunks()); ++c) {
-    source.emit(c, [&](vidx u, vidx v) { edges.push_back({u, v, 0}); });
+    source.emit(c, [&](vidx u, vidx v, weight_t w = 0) {
+      edges.push_back({u, v, w});
+    });
   }
   return edges;
 }
 
-/// The legacy path over a chunk source: materialize, then Builder::build.
+/// The staged arm over a chunk source: copy the stream into a Builder,
+/// then Builder::build runs the same pipeline over the staged copy. The
+/// peak-RSS bench compares it against the direct streamed build.
 template <ChunkedEdgeSource S>
 Csr build_materialized(const S& source, const BuildOptions& opt = {}) {
   Builder b(source.num_vertices());
   b.reserve_edges(source.estimated_edges());
   for (u64 c = 0; c < std::max<u64>(1, source.num_chunks()); ++c) {
-    source.emit(c, [&](vidx u, vidx v) { b.add(u, v); });
+    source.emit(c, [&](vidx u, vidx v, weight_t w = 0) { b.add(u, v, w); });
   }
   return b.build(opt);
 }

@@ -8,11 +8,11 @@
 // results, which the ingest pipeline guarantees for any chunking — can
 // simply pin the chunk count.
 //
-// The ingest pipeline (graph/builder.hpp and the text readers in
-// graph/io.hpp) runs on a process-wide "build pool" configured separately
-// from the simulator's sim_threads(): graph construction wants all the
-// hardware parallelism it can get, while simulation thread counts are an
-// experimental variable.
+// The ingest pipeline (CSR assembly in graph/stream_build.hpp and the
+// text readers in graph/io.hpp) runs on a process-wide "build pool"
+// configured separately from the simulator's sim_threads(): graph
+// construction wants all the hardware parallelism it can get, while
+// simulation thread counts are an experimental variable.
 #pragma once
 
 #include <utility>

@@ -43,13 +43,18 @@ Pool::~Pool() {
 
 void Pool::run(u64 tasks, const std::function<void(u64, u32)>& fn) {
   if (tasks == 0) return;
-  if (workers_ == 1 || tl_inside_run) {
-    // Inline sequential execution: a pool of one, or a reentrant call from
-    // inside a task (a simulated kernel launching from a worker).
+  const auto run_inline = [&] {
     const u32 slot = current_worker_slot();
     for (u64 t = 0; t < tasks; ++t) fn(t, slot);
-    return;
-  }
+  };
+  // Inline sequential execution: a pool of one, or a reentrant call from
+  // inside a task (a simulated kernel launching from a worker).
+  if (workers_ == 1 || tl_inside_run) return run_inline();
+  // The workers serve one run at a time. A caller on another thread that
+  // finds them busy (two graph builds on different serving threads) runs
+  // its tasks inline rather than wait for, or corrupt, the job in flight.
+  std::unique_lock<std::mutex> owner(run_mutex_, std::try_to_lock);
+  if (!owner.owns_lock()) return run_inline();
 
   // Split [0, tasks) into one contiguous chunk per worker; the front
   // workers absorb the remainder.

@@ -46,8 +46,9 @@ class Pool {
   /// Run `fn(task, worker)` once for every task in [0, tasks). The calling
   /// thread participates as worker 0. Returns when every task has finished;
   /// rethrows the captured exception of the lowest failing task index, if
-  /// any. Reentrant calls (from inside a task) degrade to inline sequential
-  /// execution on the calling worker.
+  /// any. Reentrant calls (from inside a task), and calls from another
+  /// thread while a run is in flight, degrade to inline sequential
+  /// execution on the caller.
   void run(u64 tasks, const std::function<void(u64 task, u32 worker)>& fn);
 
   // --- worker sampling -------------------------------------------------------
@@ -109,6 +110,8 @@ class Pool {
   std::vector<SampleSlot> samples_;
   std::atomic<bool> sampling_{false};
 
+  // Held by the external caller for the whole of a pooled run().
+  std::mutex run_mutex_;
   // Job hand-off: generation bumps wake the workers; `active_` counts
   // workers still draining the current job.
   std::mutex job_mutex_;

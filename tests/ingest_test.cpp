@@ -1,14 +1,16 @@
-// Equivalence tests for the parallel ingest pipeline (graph/builder.cpp,
-// the chunk-parallel readers, and the content-addressed graph cache).
+// Equivalence tests for parallel ingest (the CSR assembly pipeline in
+// graph/stream_build.hpp behind Builder::build, the chunk-parallel
+// readers, and the content-addressed graph cache).
 //
-// The pipeline's contract is stronger than "same graph": the CSR coming
-// out of the parallel build must be *byte-identical* to the serial path at
-// any thread count — sorted adjacency is load-bearing for ECL-CC's init
-// heuristic (builder.hpp, paper §6.1.3), and every golden in this repo was
-// produced by the serial builder. These tests pin that contract for the
-// whole Table-1 input suite and for all four text formats, and they live
-// in the eclp_parallel_tests binary so the TSan configuration (ctest -L
-// tsan) race-checks the same code paths.
+// The pipeline's contract is stronger than "same graph": its CSR must be
+// *byte-identical* to the independent reference in csr_reference.hpp (one
+// stable sort by (src, dst), keep-first dedupe) at any thread count —
+// sorted adjacency is load-bearing for ECL-CC's init heuristic
+// (builder.hpp, paper §6.1.3), and every golden in this repo pins those
+// bytes. These tests pin that contract for the whole Table-1 input suite
+// and for all four text formats, and they live in the eclp_parallel_tests
+// binary so the TSan configuration (ctest -L tsan) race-checks the same
+// code paths.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,10 +18,12 @@
 #include <filesystem>
 #include <functional>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "csr_reference.hpp"
 #include "gen/generators.hpp"
 #include "gen/suite.hpp"
 #include "graph/builder.hpp"
@@ -43,20 +47,16 @@ std::string bytes_of(const graph::Csr& g) {
 class IngestConfigGuard {
  public:
   IngestConfigGuard()
-      : threads_(build_threads()),
-        min_edges_(graph::parallel_build_min_edges()),
-        cache_dir_(graph::cache_dir()) {
+      : threads_(build_threads()), cache_dir_(graph::cache_dir()) {
     graph::set_cache_dir("");
   }
   ~IngestConfigGuard() {
     set_build_threads(threads_);
-    graph::set_parallel_build_min_edges(min_edges_);
     graph::set_cache_dir(cache_dir_);
   }
 
  private:
   u32 threads_;
-  usize min_edges_;
   std::string cache_dir_;
 };
 
@@ -119,35 +119,59 @@ TEST(ParallelFor, RunsInlineWithoutAPool) {
 
 // --- parallel build ----------------------------------------------------------
 
-/// Every suite input, built serially and with 2/7 ingest threads, must
-/// serialize to identical bytes. The threshold is dropped to 1 so even the
-/// tiny-scale graphs exercise the parallel pipeline (generators build
-/// their CSRs through the same Builder, so this covers generator-internal
-/// builds too).
+/// Build `edges` through the pipeline at 1/2/7 build threads and compare
+/// every result against the reference assembler.
+void expect_matches_reference(vidx n, const std::vector<graph::Edge>& edges,
+                              const graph::BuildOptions& opt,
+                              const std::string& what) {
+  const std::string expected = bytes_of(reference_build(n, edges, opt));
+  for (const u32 threads : {1u, 2u, 7u}) {
+    set_build_threads(threads);
+    EXPECT_EQ(bytes_of(graph::from_edges(n, edges, opt)), expected)
+        << what << " at " << threads << " build threads";
+  }
+}
+
+/// Every suite input: the generators' own builds are byte-identical at
+/// 1/2/7 build threads, and the suite graph's edge list — shuffled, given
+/// per-arc weights that differ between the two directions of an edge, and
+/// built both unweighted and weighted — matches the reference.
 TEST(ParallelBuild, ByteIdenticalAcrossThreadCountsForWholeSuite) {
   IngestConfigGuard guard;
-  graph::set_parallel_build_min_edges(1);
   for (const auto* inputs : {&gen::general_inputs(), &gen::mesh_inputs()}) {
     for (const auto& spec : *inputs) {
       set_build_threads(1);
-      const std::string reference = bytes_of(spec.make(gen::Scale::kTiny));
+      const auto g = spec.make(gen::Scale::kTiny);
+      const std::string reference = bytes_of(g);
       for (const u32 threads : {2u, 7u}) {
         set_build_threads(threads);
         EXPECT_EQ(bytes_of(spec.make(gen::Scale::kTiny)), reference)
             << spec.name << " at " << threads << " build threads";
       }
+
+      std::vector<graph::Edge> edges;
+      for (vidx u = 0; u < g.num_vertices(); ++u) {
+        for (const vidx v : g.neighbors(u)) {
+          edges.push_back({u, v, (u * 31 + v * 7) % 100 + 1});
+        }
+      }
+      std::shuffle(edges.begin(), edges.end(), std::mt19937_64(u64{17}));
+      for (const bool weighted : {false, true}) {
+        graph::BuildOptions opt;
+        opt.directed = g.directed();
+        opt.weighted = weighted;
+        expect_matches_reference(
+            g.num_vertices(), edges, opt,
+            spec.name + (weighted ? " weighted" : " unweighted"));
+      }
     }
   }
 }
 
-/// Duplicate edges with distinct weights: the serial stable sort keeps the
-/// first-inserted weight; the parallel pipeline must too.
+/// Duplicate edges with distinct weights: the first weight in input order
+/// survives, at every thread count, directed or mirrored.
 TEST(ParallelBuild, KeepsFirstInsertedWeightForDuplicates) {
   IngestConfigGuard guard;
-  graph::set_parallel_build_min_edges(1);
-  graph::BuildOptions opt;
-  opt.directed = true;
-  opt.weighted = true;
   std::vector<graph::Edge> edges;
   // Many parallel edges spread over sources so chunks split between dupes.
   for (u32 rep = 0; rep < 50; ++rep) {
@@ -156,18 +180,42 @@ TEST(ParallelBuild, KeepsFirstInsertedWeightForDuplicates) {
       edges.push_back({s, (s * 7 + rep) % 40, 100 + rep});
     }
   }
-  set_build_threads(1);
-  const auto reference = bytes_of(graph::from_edges(40, edges, opt));
-  for (const u32 threads : {2u, 7u}) {
-    set_build_threads(threads);
-    EXPECT_EQ(bytes_of(graph::from_edges(40, edges, opt)), reference)
-        << threads << " build threads";
+  for (const bool directed : {true, false}) {
+    graph::BuildOptions opt;
+    opt.directed = directed;
+    opt.weighted = true;
+    expect_matches_reference(40, edges, opt,
+                             directed ? "directed" : "undirected");
   }
 }
 
+/// Both directions of an undirected edge given with different weights:
+/// each mirror sits right after its original in the canonical sequence,
+/// so keep-first picks the same (first-listed) weight for both arcs.
+TEST(ParallelBuild, UndirectedDuplicateKeepsOneWeightForBothDirections) {
+  IngestConfigGuard guard;
+  const auto expect_symmetric_first = [](const graph::Csr& g,
+                                         const char* what) {
+    ASSERT_EQ(g.num_edges(), 2u) << what;
+    EXPECT_EQ(g.weights_of(0)[0], 5u) << what << ": weight of 0->1";
+    EXPECT_EQ(g.weights_of(1)[0], 5u) << what << ": weight of 1->0";
+  };
+  for (const u32 threads : {1u, 2u, 7u}) {
+    set_build_threads(threads);
+    expect_symmetric_first(
+        graph::from_edges(2, {{0, 1, 5}, {1, 0, 9}}, {.weighted = true}),
+        "from_edges");
+    expect_symmetric_first(
+        graph::parse_dimacs_sp("p sp 2 2\na 1 2 5\na 2 1 9\n",
+                               /*symmetrize=*/true),
+        "parse_dimacs_sp");
+  }
+}
+
+/// All eight directed/self-loop/dedupe combinations, weighted and
+/// unweighted, against the reference.
 TEST(ParallelBuild, NoDedupeAndSelfLoopOptionsMatchSerial) {
   IngestConfigGuard guard;
-  graph::set_parallel_build_min_edges(1);
   std::vector<graph::Edge> edges;
   for (u32 i = 0; i < 5000; ++i) {
     edges.push_back({i % 97, (i * 13 + 5) % 97, i});
@@ -175,17 +223,19 @@ TEST(ParallelBuild, NoDedupeAndSelfLoopOptionsMatchSerial) {
   for (const bool dedupe : {true, false}) {
     for (const bool loops : {true, false}) {
       for (const bool directed : {true, false}) {
-        graph::BuildOptions opt;
-        opt.dedupe = dedupe;
-        opt.remove_self_loops = loops;
-        opt.directed = directed;
-        opt.weighted = true;
-        set_build_threads(1);
-        const auto reference = bytes_of(graph::from_edges(97, edges, opt));
-        set_build_threads(7);
-        EXPECT_EQ(bytes_of(graph::from_edges(97, edges, opt)), reference)
-            << "dedupe=" << dedupe << " loops=" << loops
-            << " directed=" << directed;
+        for (const bool weighted : {true, false}) {
+          graph::BuildOptions opt;
+          opt.dedupe = dedupe;
+          opt.remove_self_loops = loops;
+          opt.directed = directed;
+          opt.weighted = weighted;
+          expect_matches_reference(
+              97, edges, opt,
+              "dedupe=" + std::to_string(dedupe) +
+                  " loops=" + std::to_string(loops) +
+                  " directed=" + std::to_string(directed) +
+                  " weighted=" + std::to_string(weighted));
+        }
       }
     }
   }
@@ -198,7 +248,6 @@ TEST(ParallelBuild, NoDedupeAndSelfLoopOptionsMatchSerial) {
 /// the original graph).
 TEST(ChunkedParse, AllFormatsByteIdenticalAcrossThreadCounts) {
   IngestConfigGuard guard;
-  graph::set_parallel_build_min_edges(1);
 
   const auto undirected = gen::uniform_random(1500, 6000, 9);
   const auto weighted = graph::with_random_weights(undirected, 17);
@@ -313,7 +362,6 @@ std::string adversarial_layout(const std::string& text, char comment,
 /// presentation, not content).
 TEST(ChunkedParse, AdversarialLayoutsMatchSerialPristineParse) {
   IngestConfigGuard guard;
-  graph::set_parallel_build_min_edges(1);
 
   for (const u64 seed : {3u, 11u, 29u}) {
     const vidx n = 400 + static_cast<vidx>(seed) * 97;

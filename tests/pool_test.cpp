@@ -110,6 +110,31 @@ TEST(Pool, ReentrantRunDegradesToInline) {
   EXPECT_EQ(inner_calls.load(), 32u);
 }
 
+TEST(Pool, ConcurrentRunsFromOtherThreadsEachRunEveryTaskOnce) {
+  // Several threads sharing one pool (graph builds on different serving
+  // threads) must each see every one of their own tasks run exactly once;
+  // a caller that finds the workers busy runs inline.
+  Pool pool(4);
+  constexpr u32 kCallers = 4;
+  constexpr u64 kTasks = 64;
+  std::vector<std::vector<std::atomic<u32>>> seen(kCallers);
+  for (auto& s : seen) s = std::vector<std::atomic<u32>>(kTasks);
+  std::vector<std::thread> callers;
+  for (u32 c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (u32 round = 0; round < 50; ++round) {
+        pool.run(kTasks, [&](u64 task, u32) { seen[c][task]++; });
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (u32 c = 0; c < kCallers; ++c) {
+    for (u64 t = 0; t < kTasks; ++t) {
+      EXPECT_EQ(seen[c][t].load(), 50u) << "caller " << c << " task " << t;
+    }
+  }
+}
+
 TEST(Pool, SimThreadsConfigRoundTrips) {
   const u32 before = sim_threads();
   set_sim_threads(3);

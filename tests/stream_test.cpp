@@ -6,14 +6,16 @@
 // pure function of (generator parameters, seed) — independent of chunk
 // count, build thread count, and chunk schedule — and build_from_chunks
 // over that sequence is byte-identical to materializing it and running
-// the classic from_edges path. Lives in eclp_parallel_tests so the TSan
-// configuration race-checks the two re-emission passes.
+// the independent reference assembler (csr_reference.hpp). Lives in
+// eclp_parallel_tests so the TSan configuration race-checks the two
+// re-emission passes.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "csr_reference.hpp"
 #include "gen/chunk_source.hpp"
 #include "gen/stream.hpp"
 #include "gen/suite.hpp"
@@ -104,7 +106,7 @@ TEST(StreamInvariance, SeedsProduceDistinctGraphs) {
   }
 }
 
-// --- streamed == materialized ------------------------------------------------
+// --- streamed == reference ---------------------------------------------------
 
 TEST(StreamBuild, MatchesMaterializedPathForEveryFamily) {
   ThreadGuard guard;
@@ -112,14 +114,14 @@ TEST(StreamBuild, MatchesMaterializedPathForEveryFamily) {
   const gen::RmatStream rm(8, 2000, 0.45, 0.22, 0.22, 7, 13);
   const gen::PreferentialAttachmentStream pa(400, 3, 7, 13);
   const auto check = [&](const auto& source, const char* name) {
-    const auto edges = graph::materialize_chunks(source);
-    const auto reference =
-        graph::from_edges(source.num_vertices(), edges);
+    const std::string expected = bytes_of(reference_build(
+        source.num_vertices(), graph::materialize_chunks(source)));
     for (const u32 threads : {1u, 2u, 7u}) {
       set_build_threads(threads);
-      EXPECT_EQ(bytes_of(graph::build_from_chunks(source)),
-                bytes_of(reference))
+      EXPECT_EQ(bytes_of(graph::build_from_chunks(source)), expected)
           << name << " threads=" << threads;
+      EXPECT_EQ(bytes_of(graph::build_materialized(source)), expected)
+          << name << " staged, threads=" << threads;
     }
   };
   check(uniform, "uniform");
@@ -128,31 +130,41 @@ TEST(StreamBuild, MatchesMaterializedPathForEveryFamily) {
 }
 
 TEST(StreamBuild, HonorsBuildOptions) {
-  // Self-loop handling and directedness must match Builder::build's
-  // semantics exactly — including the keep-loops and directed variants
-  // the suite never exercises.
-  std::vector<graph::Edge> edges{{0, 1, 0}, {1, 1, 0}, {2, 0, 0},
-                                 {1, 0, 0}, {0, 1, 0}};
+  // Self-loop handling, directedness, dedupe, and weights must match the
+  // reference exactly — including the keep-loops, directed, and
+  // asymmetric-duplicate-weight variants the suite never exercises.
+  ThreadGuard guard;
+  std::vector<graph::Edge> edges{{0, 1, 4}, {1, 1, 3}, {2, 0, 2},
+                                 {1, 0, 8}, {0, 1, 6}};
   const graph::VectorChunkSource source(3, edges, 2);
   for (const bool directed : {false, true}) {
     for (const bool loops : {true, false}) {
       for (const bool dedupe : {true, false}) {
-        graph::BuildOptions opt;
-        opt.directed = directed;
-        opt.remove_self_loops = loops;
-        opt.dedupe = dedupe;
-        EXPECT_EQ(bytes_of(graph::build_from_chunks(source, opt)),
-                  bytes_of(graph::from_edges(3, edges, opt)))
-            << "directed=" << directed << " loops=" << loops
-            << " dedupe=" << dedupe;
+        for (const bool weighted : {false, true}) {
+          graph::BuildOptions opt;
+          opt.directed = directed;
+          opt.remove_self_loops = loops;
+          opt.dedupe = dedupe;
+          opt.weighted = weighted;
+          const std::string expected =
+              bytes_of(reference_build(3, edges, opt));
+          for (const u32 threads : {1u, 2u, 7u}) {
+            set_build_threads(threads);
+            EXPECT_EQ(bytes_of(graph::build_from_chunks(source, opt)),
+                      expected)
+                << "directed=" << directed << " loops=" << loops
+                << " dedupe=" << dedupe << " weighted=" << weighted
+                << " threads=" << threads;
+          }
+        }
       }
     }
   }
 }
 
-// Every suite entry, streamed through VectorChunkSource and rebuilt
-// against the classic pipeline — the generator that produced the edges
-// does not matter, the two assembly paths must agree on every structural
+// Every suite entry, streamed through VectorChunkSource and rebuilt: the
+// generator that produced the edges does not matter, the pipeline must
+// reproduce both the suite graph and the reference on every structural
 // class in Table 1.
 void expect_suite_identity(gen::Scale scale, std::initializer_list<u32>
                                                  thread_counts) {
@@ -173,6 +185,9 @@ void expect_suite_identity(gen::Scale scale, std::initializer_list<u32>
     opt.directed = g.directed();
     const graph::VectorChunkSource source(g.num_vertices(), edges, 13);
     const std::string expected = bytes_of(g);
+    EXPECT_EQ(bytes_of(reference_build(g.num_vertices(), edges, opt)),
+              expected)
+        << spec.name << " reference";
     for (const u32 threads : thread_counts) {
       set_build_threads(threads);
       EXPECT_EQ(bytes_of(graph::build_from_chunks(source, opt)), expected)
@@ -260,36 +275,6 @@ TEST(StreamChunks, DefaultIsProcessWideAndRestorable) {
   EXPECT_EQ(source.num_chunks(), 4u);  // clamped to ceil(200000/65536) blocks
   gen::set_gen_chunks(0);
   EXPECT_EQ(gen::gen_chunks(), original);
-}
-
-// --- builder growth policy ---------------------------------------------------
-
-TEST(BuilderGrowth, AddEdgesGrowsGeometrically) {
-  graph::Builder b(100);
-  std::vector<graph::Edge> batch(50, graph::Edge{1, 2, 0});
-  usize reallocations = 0;
-  usize capacity = b.capacity_edges();
-  for (int i = 0; i < 200; ++i) {
-    b.add_edges(batch);
-    if (b.capacity_edges() != capacity) {
-      ++reallocations;
-      capacity = b.capacity_edges();
-    }
-  }
-  EXPECT_EQ(b.num_pending_edges(), 10000u);
-  // Size+batch reservation would reallocate ~200 times; doubling stays
-  // logarithmic.
-  EXPECT_LE(reallocations, 16u);
-}
-
-TEST(BuilderGrowth, ReserveEdgesHintSkipsGrowth) {
-  graph::Builder b(100);
-  b.reserve_edges(10000);
-  EXPECT_GE(b.capacity_edges(), 10000u);
-  const usize capacity = b.capacity_edges();
-  std::vector<graph::Edge> batch(50, graph::Edge{1, 2, 0});
-  for (int i = 0; i < 200; ++i) b.add_edges(batch);
-  EXPECT_EQ(b.capacity_edges(), capacity);
 }
 
 }  // namespace
