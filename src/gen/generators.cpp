@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "gen/distributions.hpp"
+#include "gen/stream.hpp"
 #include "graph/builder.hpp"
+#include "graph/stream_build.hpp"
 #include "support/prng.hpp"
 
 namespace eclp::gen {
@@ -53,31 +54,11 @@ Csr triangulated_grid(u32 side, u64 seed) {
 }
 
 Csr uniform_random(vidx n, u64 edges, u64 seed) {
-  ECLP_CHECK(n >= 2);
-  Rng rng(seed);
-  Builder b(n);
-  b.reserve_edges(edges);
-  for (u64 e = 0; e < edges; ++e) {
-    const vidx u = static_cast<vidx>(rng.below(n));
-    vidx v = static_cast<vidx>(rng.below(n));
-    while (v == u) v = static_cast<vidx>(rng.below(n));
-    b.add(u, v);
-  }
-  return b.build();
+  return graph::build_materialized(UniformRandomStream(n, edges, seed));
 }
 
 Csr rmat(u32 scale, u64 edges, double a, double b, double c, u64 seed) {
-  ECLP_CHECK(scale >= 2 && scale <= 28);
-  ECLP_CHECK(a + b + c < 1.0 + 1e-9);
-  Rng rng(seed);
-  Builder builder(vidx{1} << scale);
-  builder.reserve_edges(edges);
-  for (u64 e = 0; e < edges; ++e) {
-    const auto [u, v] = rmat_edge(rng, scale, a, b, c);
-    if (u == v) continue;
-    builder.add(u, v);
-  }
-  return builder.build();
+  return graph::build_materialized(RmatStream(scale, edges, a, b, c, seed));
 }
 
 Csr kronecker(u32 scale, u64 edges, u64 seed) {
@@ -85,32 +66,7 @@ Csr kronecker(u32 scale, u64 edges, u64 seed) {
 }
 
 Csr preferential_attachment(vidx n, u32 m, u64 seed) {
-  ECLP_CHECK(n > m && m >= 1);
-  Rng rng(seed);
-  Builder b(n);
-  b.reserve_edges(static_cast<usize>(n) * m);
-  // `targets` holds one entry per edge endpoint; sampling uniformly from it
-  // is degree-proportional sampling.
-  std::vector<vidx> targets;
-  targets.reserve(static_cast<usize>(n) * m * 2);
-  // Seed clique over the first m+1 vertices.
-  for (vidx u = 0; u <= m; ++u) {
-    for (vidx v = u + 1; v <= m; ++v) {
-      b.add(u, v);
-      targets.push_back(u);
-      targets.push_back(v);
-    }
-  }
-  for (vidx u = m + 1; u < n; ++u) {
-    for (u32 k = 0; k < m; ++k) {
-      const vidx v = targets[rng.below(targets.size())];
-      if (v == u) continue;
-      b.add(u, v);
-      targets.push_back(u);
-      targets.push_back(v);
-    }
-  }
-  return b.build();
+  return graph::build_materialized(PreferentialAttachmentStream(n, m, seed));
 }
 
 Csr internet_topology(vidx n, u64 seed) {

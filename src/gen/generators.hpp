@@ -9,7 +9,10 @@
 // clustering (co-authorship clique unions). DESIGN.md §2 records this
 // substitution; EXPERIMENTS.md compares the generated stats against Table 1.
 //
-// All generators are deterministic functions of their seed.
+// All generators are deterministic functions of their seed. The uniform,
+// R-MAT/Kronecker, and preferential-attachment families are the chunked
+// streams of gen/stream.hpp staged into a CSR, so each family yields the
+// same edge sequence at every scale, scale=huge included.
 #pragma once
 
 #include "graph/csr.hpp"

@@ -1,4 +1,10 @@
-// Chunked streaming ports of the heavy generators (KaGen discipline).
+// Chunked streaming generators (KaGen discipline): the one implementation
+// of the uniform, R-MAT/Kronecker, and preferential-attachment families.
+// gen::uniform_random, rmat, kronecker, and preferential_attachment
+// (gen/generators.hpp) stage these streams through
+// graph::build_materialized; scale=huge suite entries hand them straight
+// to graph::build_from_chunks, so the edge list never materializes. Either
+// way a family is the same edge sequence at every scale.
 //
 // Each stream carves its edge-id space into fixed blocks of
 // kEdgesPerBlock edges and derives an independent RNG seed per block with
@@ -6,28 +12,20 @@
 // ranges, so the canonical edge sequence — chunks concatenated in chunk
 // order == blocks concatenated in block order — is one fixed function of
 // (generator parameters, seed), whatever the chunk count or thread
-// count. That is the whole determinism story: change --gen-chunks, change
-// ECLP_BUILD_THREADS, re-emit chunks in any schedule — same graph, byte
-// for byte (tests/stream_test.cpp pins it at 1/4/13 chunks x 1/2/7
+// count. That is the whole determinism story: change the chunk count,
+// change ECLP_BUILD_THREADS, re-emit chunks in any schedule — same graph,
+// byte for byte (tests/stream_test.cpp pins it at 1/4/13 chunks x 1/2/7
 // threads).
-//
-// These streams are NEW edge sequences, not bit-replays of the legacy
-// generators in gen/generators.hpp: a sequential RNG stream cannot be
-// re-entered per chunk. The legacy generators keep powering the existing
-// suite scales (their goldens stay byte-stable); the streams power
-// scale=huge, where materializing was never possible to begin with.
-// Distribution kernels are shared (gen/distributions.hpp), so both paths
-// sample the same edge distributions.
 //
 // Per-chunk seeding scheme: DESIGN.md §2. Memory model and the two-pass
 // build: docs/INGEST.md "Chunked streaming generation".
 #pragma once
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
-#include "gen/chunk_source.hpp"
-#include "gen/distributions.hpp"
-#include "graph/csr.hpp"
+#include "support/parallel_for.hpp"
 #include "support/prng.hpp"
 
 namespace eclp::gen {
@@ -41,7 +39,7 @@ inline constexpr u64 kEdgesPerBlock = u64{1} << 16;
 /// Mixed into suite cache keys: bump it if stream_block_seed, the block
 /// size, or any stream's emission order changes, so stale .eclg entries
 /// generated by an older scheme cannot alias.
-inline constexpr u64 kChunkStreamVersion = 1;
+inline constexpr u64 kChunkStreamVersion = 2;
 
 /// The seed of block `block` of stream family `tag` under user seed
 /// `seed`: three chained SplitMix64 mixes so that block seeds are
@@ -58,27 +56,41 @@ inline constexpr u64 kStreamTagUniform = 0x756e69666f726dULL;  // "uniform"
 inline constexpr u64 kStreamTagRmat = 0x726d6174ULL;           // "rmat"
 inline constexpr u64 kStreamTagPa = 0x7061ULL;                 // "pa"
 
-/// Default chunk count for streamed generation (--gen-chunks). More
-/// chunks than build threads so the work-stealing pool can rebalance
-/// blocks whose rejection loops run long.
-u64 gen_chunks();
-
-/// Set the process-wide streamed-generation chunk count (0 restores the
-/// default). The graph itself is chunk-count-invariant; this only shapes
-/// scheduling granularity.
-void set_gen_chunks(u64 chunks);
-
 namespace detail {
 
-/// Chunk count a stream actually uses: the request (0 = gen_chunks()),
-/// clamped to the number of seeding blocks so chunk boundaries always
-/// align with block boundaries.
+/// Chunk count a stream actually uses: the request (0 = the default of
+/// 64, scheduling granularity only), clamped to the number of seeding
+/// blocks so chunk boundaries always align with block boundaries.
 u64 stream_chunks(u64 requested, u64 blocks);
 
 }  // namespace detail
 
-/// Streaming port of uniform_random(): `edges` endpoint pairs drawn
-/// uniformly, self-pairs resampled (per block, deterministically).
+/// One RMAT edge sample in a 2^scale x 2^scale adjacency matrix: descend
+/// the matrix one bit per level, picking a quadrant with probabilities
+/// (a, b, c, 1-a-b-c).
+inline std::pair<vidx, vidx> rmat_edge(Rng& rng, u32 scale, double a,
+                                       double b, double c) {
+  vidx u = 0, v = 0;
+  for (u32 bit = 0; bit < scale; ++bit) {
+    const double r = rng.unit();
+    u <<= 1;
+    v <<= 1;
+    if (r < a) {
+      // top-left: nothing to add
+    } else if (r < a + b) {
+      v |= 1;
+    } else if (r < a + b + c) {
+      u |= 1;
+    } else {
+      u |= 1;
+      v |= 1;
+    }
+  }
+  return {u, v};
+}
+
+/// uniform_random(): `edges` endpoint pairs drawn uniformly, self-pairs
+/// resampled (per block, deterministically).
 class UniformRandomStream {
  public:
   UniformRandomStream(vidx n, u64 edges, u64 seed, u64 chunks = 0)
@@ -117,10 +129,9 @@ class UniformRandomStream {
   u64 chunks_;
 };
 
-/// Streaming port of rmat() (and kronecker() via the 0.57/0.19/0.19
-/// parameterization): `edges` recursive-matrix samples per the shared
-/// rmat_edge kernel; self-pairs are dropped, matching the legacy
-/// generator's semantics that `edges` counts attempts.
+/// rmat() (and kronecker() via the 0.57/0.19/0.19 parameterization):
+/// `edges` recursive-matrix samples per rmat_edge; self-pairs are dropped,
+/// so `edges` counts attempts.
 class RmatStream {
  public:
   RmatStream(u32 scale, u64 edges, double a, double b, double c, u64 seed,
@@ -163,8 +174,8 @@ class RmatStream {
   u64 chunks_;
 };
 
-/// Streaming Barabási–Albert in the communication-free style of Sanders
-/// & Schulz: instead of the legacy generator's shared degree-proportional
+/// preferential_attachment(): Barabási–Albert in the communication-free
+/// style of Sanders & Schulz. Instead of a shared degree-proportional
 /// endpoint array (inherently sequential), attachment edge i draws a
 /// uniform *position* in the endpoint-position space built up so far —
 /// positions [0, 2S) land in a precomputed seed-clique skeleton, position
@@ -173,8 +184,8 @@ class RmatStream {
 /// draw. Every edge is thus a pure function of (seed, i): any chunk, any
 /// thread, any schedule recomputes it identically. Expected resolution
 /// depth is O(log i) hops. Draws that resolve to the edge's own source
-/// are skipped (the legacy generator skips those too); their positions
-/// remain defined, so later edges resolve through them unchanged.
+/// are skipped; their positions remain defined, so later edges resolve
+/// through them unchanged.
 class PreferentialAttachmentStream {
  public:
   PreferentialAttachmentStream(vidx n, u32 m, u64 seed, u64 chunks = 0);
@@ -209,10 +220,23 @@ class PreferentialAttachmentStream {
   }
 
   /// Edge i's position draw: uniform over the 2S skeleton endpoints plus
-  /// the 2i endpoints of the attachment edges before it.
+  /// the 2i endpoints of the attachment edges before it. One SplitMix64
+  /// hash of key_ ^ i (= stream_block_seed(seed, kStreamTagPa, i)) reduced
+  /// by Lemire's multiply-shift, rejected exactly as Rng::below rejects
+  /// and re-hashed on a rejection: exactly uniform at one hash per
+  /// resolution hop, the cost that dominates emission.
   u64 choice(u64 i) const {
-    Rng rng(stream_block_seed(seed_, kStreamTagPa, i));
-    return rng.below(skeleton_.size() + 2 * i);
+    const u64 bound = skeleton_.size() + 2 * i;
+    u64 x = splitmix64(key_ ^ i);
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    if (static_cast<u64>(m) < bound) {
+      const u64 threshold = (0 - bound) % bound;
+      while (static_cast<u64>(m) < threshold) {
+        x = splitmix64(x);
+        m = static_cast<__uint128_t>(x) * bound;
+      }
+    }
+    return static_cast<u64>(m >> 64);
   }
 
   /// Walk a position back to a concrete vertex (see class comment).
@@ -227,23 +251,10 @@ class PreferentialAttachmentStream {
 
   vidx n_;
   u32 m_;
-  u64 seed_;
+  u64 key_;  ///< splitmix64(splitmix64(seed) ^ kStreamTagPa)
   u64 attach_edges_;
   u64 chunks_;
   std::vector<vidx> skeleton_;  ///< 2S seed-clique endpoint positions
 };
-
-/// Build-a-CSR conveniences: stream the generator through
-/// graph::build_from_chunks (undirected, unweighted, default build
-/// options — the same options the legacy generators use). chunks = 0
-/// means gen_chunks().
-graph::Csr uniform_random_streamed(vidx n, u64 edges, u64 seed,
-                                   u64 chunks = 0);
-graph::Csr rmat_streamed(u32 scale, u64 edges, double a, double b,
-                         double c, u64 seed, u64 chunks = 0);
-graph::Csr kronecker_streamed(u32 scale, u64 edges, u64 seed,
-                              u64 chunks = 0);
-graph::Csr preferential_attachment_streamed(vidx n, u32 m, u64 seed,
-                                            u64 chunks = 0);
 
 }  // namespace eclp::gen

@@ -6,6 +6,7 @@
 #include "gen/meshes.hpp"
 #include "gen/stream.hpp"
 #include "graph/cache.hpp"
+#include "graph/stream_build.hpp"
 #include "graph/transforms.hpp"
 #include "support/check.hpp"
 #include "support/prng.hpp"
@@ -26,7 +27,10 @@ constexpr u64 kSuiteSeed = 0xec1900df11e00001ULL;
 // v2: suite gained scale=huge streamed entries and the Builder's CSR
 // assembly grew the chunked streaming path — old .eclg entries keyed
 // under v1 must not alias the new generation scheme.
-constexpr u64 kSuiteCacheVersion = 2;
+// v3: the uniform, R-MAT/Kronecker, and preferential-attachment families
+// generate through the chunked streams at every scale, so the tiny to
+// default graphs of six entries changed.
+constexpr u64 kSuiteCacheVersion = 3;
 
 /// Wrap every entry's generator in the content-addressed graph cache
 /// (graph/cache.hpp): when ECLP_GRAPH_CACHE / --graph-cache names a
@@ -52,8 +56,8 @@ u64 seed_for(const char* name) {
 }
 
 /// Pick a dimension by scale: tiny/small/default. kHuge never reaches
-/// this — huge-capable entries branch to their streamed generator first,
-/// and everything else has no huge parameterization to pick.
+/// this — huge-capable entries branch to build_from_chunks first, and
+/// everything else has no huge parameterization to pick.
 template <typename T>
 T by_scale(Scale s, T tiny, T small, T def) {
   switch (s) {
@@ -102,18 +106,18 @@ std::vector<InputSpec> make_general() {
                                      seed_for("amazon0601"));
                }});
 
-  // Huge-capable entries: kTiny/kSmall/kDefault keep the legacy
-  // materializing generators (their goldens are byte-stable), while
-  // kHuge streams a new ~10^8-arc graph of the same structural class
-  // through the chunked pipeline — a sequence a sequential RNG could
-  // never re-enter per chunk (gen/stream.hpp).
+  // Huge-capable entries: kTiny/kSmall/kDefault stage the family's
+  // chunked stream (gen/stream.hpp) through the generator function, while
+  // kHuge hands the same stream at ~10^8 arcs straight to
+  // build_from_chunks, so the edge list never materializes.
   v.push_back({"as-skitter",
                {22190596, 1696415, "InTopo", 13.1, 35455},
                false,
                [](Scale s) {
                  if (s == Scale::kHuge) {
-                   return preferential_attachment_streamed(
-                       1u << 21, 7, seed_for("as-skitter"));
+                   return graph::build_from_chunks(
+                       PreferentialAttachmentStream(
+                           1u << 21, 7, seed_for("as-skitter")));
                  }
                  return preferential_attachment(
                      by_scale<vidx>(s, 4000, 30000, 120000), 7,
@@ -187,9 +191,11 @@ std::vector<InputSpec> make_general() {
                  if (s == Scale::kHuge) {
                    // The paper's actual vertex count (2^21); 22<<21
                    // samples keep the hub skew while fitting the
-                   // single-host time budget.
-                   return kronecker_streamed(21, u64{22} << 21,
-                                             seed_for("kron_g500-logn21"));
+                   // single-host time budget. Graph500 parameters, as
+                   // kronecker() uses.
+                   return graph::build_from_chunks(RmatStream(
+                       21, u64{22} << 21, 0.57, 0.19, 0.19,
+                       seed_for("kron_g500-logn21")));
                  }
                  const u32 scale = by_scale<u32>(s, 11, 14, 16);
                  const u64 edges = u64{22} << scale;  // dense, hub-skewed
@@ -205,8 +211,8 @@ std::vector<InputSpec> make_general() {
                    // 2^24 vertices x 4 draws each -> ~1.3x10^8 arcs
                    // after mirroring: past the paper's own r4-2e23.
                    const vidx n = vidx{1} << 24;
-                   return uniform_random_streamed(
-                       n, static_cast<u64>(n) * 4, seed_for("r4-2e23.sym"));
+                   return graph::build_from_chunks(UniformRandomStream(
+                       n, static_cast<u64>(n) * 4, seed_for("r4-2e23.sym")));
                  }
                  const vidx n = by_scale<vidx>(s, 4000, 60000, 250000);
                  return uniform_random(n, static_cast<u64>(n) * 4,
@@ -230,8 +236,9 @@ std::vector<InputSpec> make_general() {
                  if (s == Scale::kHuge) {
                    // The paper's actual parameterization: scale 22,
                    // 8 samples per vertex.
-                   return rmat_streamed(22, u64{8} << 22, 0.45, 0.22,
-                                        0.22, seed_for("rmat22.sym"));
+                   return graph::build_from_chunks(
+                       RmatStream(22, u64{8} << 22, 0.45, 0.22, 0.22,
+                                  seed_for("rmat22.sym")));
                  }
                  const u32 scale = by_scale<u32>(s, 12, 15, 17);
                  return rmat(scale, u64{8} << scale, 0.45, 0.22, 0.22,

@@ -17,10 +17,10 @@
 
 namespace eclp::gen {
 
-/// kTiny/kSmall/kDefault are the classic materialized scales. kHuge is
-/// generated through the chunked streaming pipeline (gen/stream.hpp) —
-/// ~10^8-arc graphs built in bounded memory — and exists only for the
-/// inputs whose generator family has a streaming port (InputSpec::huge).
+/// kTiny/kSmall/kDefault stage the generated edges before the CSR build.
+/// kHuge streams the family's chunked generator (gen/stream.hpp) straight
+/// into build_from_chunks — ~10^8-arc graphs built in bounded memory — and
+/// exists only for the inputs whose family is chunked (InputSpec::huge).
 enum class Scale : u8 { kTiny = 0, kSmall = 1, kDefault = 2, kHuge = 3 };
 
 /// Parse "tiny"/"small"/"default"/"huge" (used by bench --scale flags).

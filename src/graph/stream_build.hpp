@@ -55,8 +55,7 @@ namespace eclp::graph {
 /// `sink(src, dst)` or `sink(src, dst, w)` for every edge of that chunk,
 /// in a fixed order that depends only on the chunk id — never on thread
 /// count, emission order across chunks, or how often the chunk was emitted
-/// before. gen::ChunkSource (gen/chunk_source.hpp) re-exports this concept
-/// for the generator layer.
+/// before.
 template <typename S>
 concept ChunkedEdgeSource =
     requires(const S& s, u64 chunk, void (&sink)(vidx, vidx)) {
@@ -326,7 +325,9 @@ std::vector<Edge> materialize_chunks(const S& source) {
 }
 
 /// The staged arm over a chunk source: copy the stream into a Builder,
-/// then Builder::build runs the same pipeline over the staged copy. The
+/// then Builder::build runs the same pipeline over the staged copy. One
+/// generation pass instead of two, at the cost of holding the edge list:
+/// the generator functions below scale=huge build this way, and the
 /// peak-RSS bench compares it against the direct streamed build.
 template <ChunkedEdgeSource S>
 Csr build_materialized(const S& source, const BuildOptions& opt = {}) {

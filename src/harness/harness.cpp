@@ -6,7 +6,6 @@
 #include <fstream>
 #include <iostream>
 
-#include "gen/stream.hpp"
 #include "graph/cache.hpp"
 #include "support/parallel_for.hpp"
 #include "support/stats.hpp"
@@ -123,11 +122,6 @@ BenchContext parse(int argc, const char* const* argv,
                      "skip graph generation/parsing/build; overrides "
                      "ECLP_GRAPH_CACHE",
                      "");
-  ctx.cli.add_option("gen-chunks",
-                     "chunk count for streamed (scale=huge) generation — "
-                     "scheduling granularity only, the generated graph is "
-                     "chunk-count-invariant (0 = default)",
-                     "");
   ctx.cli.add_option("reorder",
                      "vertex reordering applied to every input: natural, "
                      "random[:SEED], bfs, degree, hub, hubcluster, "
@@ -156,9 +150,6 @@ BenchContext parse(int argc, const char* const* argv,
   }
   if (!ctx.cli.get("graph-cache").empty()) {
     graph::set_cache_dir(ctx.cli.get("graph-cache"));
-  }
-  if (!ctx.cli.get("gen-chunks").empty()) {
-    gen::set_gen_chunks(static_cast<u64>(ctx.cli.get_int("gen-chunks")));
   }
   ctx.reorder_spec = graph::ReorderSpec::parse(ctx.cli.get("reorder"));
   ctx.llc = sim::parse_cache_config(ctx.cli.get("llc"));

@@ -206,7 +206,7 @@ TEST(Suite, HugeScaleIsFlaggedOnStreamedEntriesOnly) {
 }
 
 TEST(Suite, CacheKeyMovedWithTheVersionBump) {
-  // Regression pin for the kSuiteCacheVersion=2 bump: stale .eclg files
+  // Regression pin for the kSuiteCacheVersion bumps: stale .eclg files
   // written by the v1 builder must not alias the new keys. The v1 key for
   // (r4-2e23.sym, tiny) was produced by mixing version 1 with no
   // chunk-stream component; pin the current derivation's output so any
@@ -216,10 +216,18 @@ TEST(Suite, CacheKeyMovedWithTheVersionBump) {
       .mix_u64(static_cast<u64>(Scale::kTiny))
       .mix_u64(0xec1900df11e00001ULL);
   EXPECT_NE(suite_cache_key("r4-2e23.sym", Scale::kTiny).hex(), v1.hex());
+  // The v3 bump (the families stream at every scale, and the PA sequence
+  // moved with kChunkStreamVersion 2) must move the v2 keys too: their
+  // tiny..default graphs of six entries are stale.
+  graph::CacheKey v2;
+  v2.mix("eclp-suite").mix_u64(2 ^ (u64{1} << 32)).mix("r4-2e23.sym")
+      .mix_u64(static_cast<u64>(Scale::kTiny))
+      .mix_u64(0xec1900df11e00001ULL);
+  EXPECT_NE(suite_cache_key("r4-2e23.sym", Scale::kTiny).hex(), v2.hex());
   // The chunk-stream seeding-scheme version participates: a future bump
   // of either component moves every key.
-  EXPECT_EQ(suite_cache_version() & 0xffffffffULL, 2u);
-  EXPECT_NE(suite_cache_version() >> 32, 0u);
+  EXPECT_EQ(suite_cache_version() & 0xffffffffULL, 3u);
+  EXPECT_EQ(suite_cache_version() >> 32, 2u);
   // Keys separate by name and by scale (huge included).
   EXPECT_NE(suite_cache_key("r4-2e23.sym", Scale::kTiny).hex(),
             suite_cache_key("rmat22.sym", Scale::kTiny).hex());

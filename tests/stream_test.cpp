@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "csr_reference.hpp"
-#include "gen/chunk_source.hpp"
+#include "gen/generators.hpp"
 #include "gen/stream.hpp"
 #include "gen/suite.hpp"
 #include "graph/builder.hpp"
@@ -27,10 +27,10 @@
 namespace eclp {
 namespace {
 
-static_assert(gen::ChunkSource<gen::UniformRandomStream>);
-static_assert(gen::ChunkSource<gen::RmatStream>);
-static_assert(gen::ChunkSource<gen::PreferentialAttachmentStream>);
-static_assert(gen::ChunkSource<graph::VectorChunkSource>);
+static_assert(graph::ChunkedEdgeSource<gen::UniformRandomStream>);
+static_assert(graph::ChunkedEdgeSource<gen::RmatStream>);
+static_assert(graph::ChunkedEdgeSource<gen::PreferentialAttachmentStream>);
+static_assert(graph::ChunkedEdgeSource<graph::VectorChunkSource>);
 
 std::string bytes_of(const graph::Csr& g) {
   std::stringstream ss;
@@ -109,11 +109,12 @@ TEST(StreamInvariance, SeedsProduceDistinctGraphs) {
 // --- streamed == reference ---------------------------------------------------
 
 TEST(StreamBuild, MatchesMaterializedPathForEveryFamily) {
+  // The reference assembler, the two-pass build, the staged build, and the
+  // family function all agree: each family is one edge sequence, whichever
+  // path builds it. The uniform and R-MAT sizes span two seeding blocks.
   ThreadGuard guard;
-  const gen::UniformRandomStream uniform(500, 3000, 7, 13);
-  const gen::RmatStream rm(8, 2000, 0.45, 0.22, 0.22, 7, 13);
-  const gen::PreferentialAttachmentStream pa(400, 3, 7, 13);
-  const auto check = [&](const auto& source, const char* name) {
+  const auto check = [](const auto& source, const auto& family,
+                        const std::string& name) {
     const std::string expected = bytes_of(reference_build(
         source.num_vertices(), graph::materialize_chunks(source)));
     for (const u32 threads : {1u, 2u, 7u}) {
@@ -122,11 +123,24 @@ TEST(StreamBuild, MatchesMaterializedPathForEveryFamily) {
           << name << " threads=" << threads;
       EXPECT_EQ(bytes_of(graph::build_materialized(source)), expected)
           << name << " staged, threads=" << threads;
+      EXPECT_EQ(bytes_of(family()), expected)
+          << name << " family function, threads=" << threads;
     }
   };
-  check(uniform, "uniform");
-  check(rm, "rmat");
-  check(pa, "pa");
+  for (const u64 seed : {u64{7}, u64{12345}}) {
+    const std::string at = " seed=" + std::to_string(seed);
+    check(gen::UniformRandomStream(4000, 70000, seed, 13),
+          [&] { return gen::uniform_random(4000, 70000, seed); },
+          "uniform" + at);
+    check(gen::RmatStream(12, 70000, 0.45, 0.22, 0.22, seed, 13),
+          [&] { return gen::rmat(12, 70000, 0.45, 0.22, 0.22, seed); },
+          "rmat" + at);
+    check(gen::RmatStream(12, 70000, 0.57, 0.19, 0.19, seed, 13),
+          [&] { return gen::kronecker(12, 70000, seed); }, "kronecker" + at);
+    check(gen::PreferentialAttachmentStream(400, 3, seed, 13),
+          [&] { return gen::preferential_attachment(400, 3, seed); },
+          "pa" + at);
+  }
 }
 
 TEST(StreamBuild, HonorsBuildOptions) {
@@ -241,6 +255,9 @@ TEST(StreamSeeding, CanonicalSequenceIgnoresChunkCount) {
   const auto reference = sequence_of(1);
   EXPECT_EQ(sequence_of(4), reference);
   EXPECT_EQ(sequence_of(13), reference);
+  // Chunk boundaries align with seeding blocks: the default request is
+  // clamped to the block count, ceil(200000 / 2^16) = 4.
+  EXPECT_EQ(gen::UniformRandomStream(100, 200000, 1).num_chunks(), 4u);
 }
 
 TEST(StreamPa, ResolvesToValidBarabasiAlbertStructure) {
@@ -265,16 +282,6 @@ TEST(StreamPa, ResolvesToValidBarabasiAlbertStructure) {
   u64 clique_degree = 0;
   for (vidx v = 0; v <= 4; ++v) clique_degree += g.degree(v);
   EXPECT_GT(clique_degree / 5, u64{4} * 4);
-}
-
-TEST(StreamChunks, DefaultIsProcessWideAndRestorable) {
-  const u64 original = gen::gen_chunks();
-  gen::set_gen_chunks(13);
-  EXPECT_EQ(gen::gen_chunks(), 13u);
-  const gen::UniformRandomStream source(100, 200000, 1);
-  EXPECT_EQ(source.num_chunks(), 4u);  // clamped to ceil(200000/65536) blocks
-  gen::set_gen_chunks(0);
-  EXPECT_EQ(gen::gen_chunks(), original);
 }
 
 }  // namespace

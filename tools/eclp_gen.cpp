@@ -8,7 +8,6 @@
 // copies (for MST work) are produced with --weights=<seed>.
 #include <cstdio>
 
-#include "gen/stream.hpp"
 #include "gen/suite.hpp"
 #include "graph/io.hpp"
 #include "graph/transforms.hpp"
@@ -23,10 +22,6 @@ int main(int argc, char** argv) {
   cli.add_option("input", "suite input name", "");
   cli.add_option("scale", "tiny|small|default|huge", "small");
   cli.add_option("out", "output path (.eclg/.mtx/.gr/.col/.el)", "");
-  cli.add_option("gen-chunks",
-                 "chunk count for streamed (scale=huge) generation "
-                 "(0 = default; chunk-count-invariant output)",
-                 "");
   cli.add_option("weights", "attach random weights with this seed (0 = none)",
                  "0");
   cli.add_flag("help", "show usage");
@@ -50,9 +45,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (!cli.get("gen-chunks").empty()) {
-    gen::set_gen_chunks(static_cast<u64>(cli.get_int("gen-chunks")));
-  }
   const auto& spec = gen::find_input(cli.get("input"));
   auto g = spec.make(gen::parse_scale(cli.get("scale")));
   const u64 weight_seed = static_cast<u64>(cli.get_int("weights"));

@@ -22,7 +22,6 @@
 #include "algos/mis/ecl_mis.hpp"
 #include "algos/mst/ecl_mst.hpp"
 #include "algos/scc/ecl_scc.hpp"
-#include "gen/stream.hpp"
 #include "gen/suite.hpp"
 #include "graph/io.hpp"
 #include "graph/reorder.hpp"
@@ -103,11 +102,6 @@ int main(int argc, char** argv) {
                  "skip graph generation/parsing/build; overrides "
                  "ECLP_GRAPH_CACHE (see docs/INGEST.md)",
                  "");
-  cli.add_option("gen-chunks",
-                 "chunk count for streamed (scale=huge) generation — "
-                 "scheduling granularity only, the graph is chunk-count-"
-                 "invariant (0 = default; docs/INGEST.md)",
-                 "");
   cli.add_option("profile",
                  "write a profiling session (eclp.profile JSON + Perfetto "
                  ".trace.json) to this path; overrides ECLP_PROFILE",
@@ -140,9 +134,6 @@ int main(int argc, char** argv) {
   }
   if (!cli.get("graph-cache").empty()) {
     graph::set_cache_dir(cli.get("graph-cache"));
-  }
-  if (!cli.get("gen-chunks").empty()) {
-    gen::set_gen_chunks(static_cast<u64>(cli.get_int("gen-chunks")));
   }
   const u64 seed = static_cast<u64>(cli.get_int("seed"));
   sim::CostModel cost;
