@@ -37,8 +37,9 @@ inline constexpr u64 kEdgesPerBlock = u64{1} << 16;
 
 /// Version of the per-chunk seeding scheme + canonical sequence layout.
 /// Mixed into suite cache keys: bump it if stream_block_seed, the block
-/// size, or any stream's emission order changes, so stale .eclg entries
-/// generated by an older scheme cannot alias.
+/// size, a draw, or any stream's emission order changes, so stale .eclg
+/// entries generated by an older scheme cannot alias. v2: the
+/// preferential-attachment position draw became one hash per hop.
 inline constexpr u64 kChunkStreamVersion = 2;
 
 /// The seed of block `block` of stream family `tag` under user seed
@@ -63,8 +64,6 @@ namespace detail {
 /// blocks so chunk boundaries always align with block boundaries.
 u64 stream_chunks(u64 requested, u64 blocks);
 
-}  // namespace detail
-
 /// One RMAT edge sample in a 2^scale x 2^scale adjacency matrix: descend
 /// the matrix one bit per level, picking a quadrant with probabilities
 /// (a, b, c, 1-a-b-c).
@@ -88,6 +87,8 @@ inline std::pair<vidx, vidx> rmat_edge(Rng& rng, u32 scale, double a,
   }
   return {u, v};
 }
+
+}  // namespace detail
 
 /// uniform_random(): `edges` endpoint pairs drawn uniformly, self-pairs
 /// resampled (per block, deterministically).
@@ -159,7 +160,7 @@ class RmatStream {
       Rng rng(stream_block_seed(seed_, kStreamTagRmat, b));
       const u64 end = std::min(edges_, (b + 1) * kEdgesPerBlock);
       for (u64 e = b * kEdgesPerBlock; e < end; ++e) {
-        const auto [u, v] = rmat_edge(rng, scale_, a_, b_, c_);
+        const auto [u, v] = detail::rmat_edge(rng, scale_, a_, b_, c_);
         if (u != v) sink(u, v);
       }
     }
