@@ -62,7 +62,7 @@ Csr rmat(u32 scale, u64 edges, double a, double b, double c, u64 seed) {
 }
 
 Csr kronecker(u32 scale, u64 edges, u64 seed) {
-  return rmat(scale, edges, 0.57, 0.19, 0.19, seed);
+  return graph::build_materialized(RmatStream::kronecker(scale, edges, seed));
 }
 
 Csr preferential_attachment(vidx n, u32 m, u64 seed) {

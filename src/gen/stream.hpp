@@ -130,11 +130,16 @@ class UniformRandomStream {
   u64 chunks_;
 };
 
-/// rmat() (and kronecker() via the 0.57/0.19/0.19 parameterization):
-/// `edges` recursive-matrix samples per rmat_edge; self-pairs are dropped,
-/// so `edges` counts attempts.
+/// rmat() and kronecker(): `edges` recursive-matrix samples per
+/// rmat_edge; self-pairs are dropped, so `edges` counts attempts.
 class RmatStream {
  public:
+  /// The Graph500 Kronecker parameterization (a=.57, b=.19, c=.19).
+  static RmatStream kronecker(u32 scale, u64 edges, u64 seed,
+                              u64 chunks = 0) {
+    return RmatStream(scale, edges, 0.57, 0.19, 0.19, seed, chunks);
+  }
+
   RmatStream(u32 scale, u64 edges, double a, double b, double c, u64 seed,
              u64 chunks = 0)
       : scale_(scale),

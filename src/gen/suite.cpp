@@ -191,11 +191,9 @@ std::vector<InputSpec> make_general() {
                  if (s == Scale::kHuge) {
                    // The paper's actual vertex count (2^21); 22<<21
                    // samples keep the hub skew while fitting the
-                   // single-host time budget. Graph500 parameters, as
-                   // kronecker() uses.
-                   return graph::build_from_chunks(RmatStream(
-                       21, u64{22} << 21, 0.57, 0.19, 0.19,
-                       seed_for("kron_g500-logn21")));
+                   // single-host time budget.
+                   return graph::build_from_chunks(RmatStream::kronecker(
+                       21, u64{22} << 21, seed_for("kron_g500-logn21")));
                  }
                  const u32 scale = by_scale<u32>(s, 11, 14, 16);
                  const u64 edges = u64{22} << scale;  // dense, hub-skewed
