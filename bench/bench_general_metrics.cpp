@@ -15,7 +15,7 @@
 #include "gen/suite.hpp"
 #include "graph/transforms.hpp"
 #include "harness/harness.hpp"
-#include "sim/trace.hpp"
+#include "profile/timeline.hpp"
 
 using namespace eclp;
 
@@ -25,11 +25,11 @@ int main(int argc, char** argv) {
 
   {
     sim::Device dev;
-    sim::Trace trace;
-    dev.set_trace(&trace);
     // --profile=<path> (or ECLP_PROFILE) captures this five-algorithm sweep
-    // as one profiling session: every run() annotates its phases.
-    const auto session = harness::maybe_session(ctx, dev);
+    // as one profiling session: every run() annotates its phases. Without
+    // it a local session still records the launches the tables read.
+    auto session = harness::maybe_session(ctx, dev);
+    if (session == nullptr) session = std::make_unique<profile::Session>(dev);
     const auto g = gen::find_input("as-skitter").make(ctx.scale);
     algos::cc::run(dev, g);
     algos::mis::run(dev, g);
@@ -38,11 +38,12 @@ int main(int argc, char** argv) {
     const auto mesh = gen::find_input("cold-flow").make(ctx.scale);
     algos::scc::run(dev, mesh);
     harness::emit(ctx, "general_metrics_load_balance",
-                  trace.load_balance(
+                  profile::load_balance(
+                      *session,
                       "load balance & thread activity by kernel "
                       "(as-skitter / cold-flow)"));
     harness::emit(ctx, "general_metrics_timeline",
-                  trace.summary("cycle share by kernel"));
+                  profile::timeline_summary(*session, "cycle share by kernel"));
     std::printf("atomicCAS failure rate across all runs: %.2f%%; "
                 "atomicMin ineffective rate: %.2f%% (§3.1.5)\n\n",
                 100.0 * dev.atomic_stats().cas_failure_rate(),
@@ -58,14 +59,14 @@ int main(int argc, char** argv) {
       const auto g = gen::find_input(name).make(ctx.scale);
       const auto measure = [&](const algos::cc::Options& opt) {
         sim::Device dev;
-        sim::Trace trace;
-        dev.set_trace(&trace);
+        profile::Session session(dev);
         const auto res = algos::cc::run(dev, g, opt);
         ECLP_CHECK(algos::cc::verify(g, res.labels));
         double worst = 1.0;
-        for (const auto& e : trace.events()) {
-          if (e.kernel.rfind("cc_compute", 0) == 0) {
-            worst = std::max(worst, e.imbalance);
+        for (const profile::Span& s : session.spans()) {
+          if (s.kind == profile::SpanKind::kKernel &&
+              s.name.rfind("cc_compute", 0) == 0) {
+            worst = std::max(worst, s.imbalance);
           }
         }
         return std::pair{worst, res.modeled_cycles};

@@ -56,7 +56,7 @@ Session::Session(sim::Device& dev, CounterRegistry* registry, Options options)
       atomics_at_start_(dev.atomic_stats()) {
   prev_observer_ = dev_.launch_observer();
   dev_.set_launch_observer(this);
-  if (sim::Pool* pool = dev_.pool(); pool != nullptr) {
+  if (Pool* pool = dev_.pool(); pool != nullptr) {
     prev_pool_sampling_ = pool->sampling();
     pool->reset_worker_samples();
     pool->set_sampling(true);
@@ -69,7 +69,7 @@ Session::~Session() {
   finalize();
   // Detach before writing so artifact I/O can never re-enter on_launch.
   if (dev_.launch_observer() == this) dev_.set_launch_observer(prev_observer_);
-  if (sim::Pool* pool = dev_.pool(); pool != nullptr) {
+  if (Pool* pool = dev_.pool(); pool != nullptr) {
     pool->set_sampling(prev_pool_sampling_);
   }
   if (tl_current_session == this) tl_current_session = prev_current_;
@@ -172,32 +172,35 @@ void Session::emit_counter_samples(u64 at_cycles) {
   last_sampled_totals_ = now;
 }
 
-void Session::on_launch(const sim::KernelStats& stats,
-                        const sim::TraceEvent& event) {
+void Session::on_launch(const sim::KernelStats& stats, u64 atomics_delta,
+                        u64 wall_ns, std::span<const u64> block_cycles) {
   Span span;
   span.id = static_cast<u32>(spans_.size());
   span.parent = stack_.empty() ? -1 : static_cast<i32>(stack_.back().span_id);
   span.depth = static_cast<u32>(stack_.size());
   span.name = stats.name;
   span.kind = SpanKind::kKernel;
-  span.start_cycles = event.cumulative_cycles - event.modeled_cycles;
-  span.end_cycles = event.cumulative_cycles;
+  // The device has already charged this launch to its running total.
+  span.end_cycles = dev_.total_cycles();
+  span.start_cycles = span.end_cycles - stats.cost.modeled_cycles;
   const u64 wall_end = monotonic_ns() - epoch_ns_;
   span.wall_end_ns = wall_end;
-  span.wall_start_ns = event.wall_ns > wall_end ? 0 : wall_end - event.wall_ns;
-  span.atomics = event.atomics_delta;
+  span.wall_start_ns = wall_ns > wall_end ? 0 : wall_end - wall_ns;
+  span.atomics = atomics_delta;
   span.launches = 1;
-  span.llc_hits = event.llc_hits;
-  span.llc_misses = event.llc_misses;
-  span.blocks = event.blocks;
-  span.threads_per_block = event.threads_per_block;
-  span.active_threads = event.active_threads;
-  span.idle_threads = event.idle_threads;
-  span.imbalance = event.imbalance;
-  span.block_cycles = event.block_cycles;
+  span.llc_hits = stats.cost.llc_hits;
+  span.llc_misses = stats.cost.llc_misses;
+  span.blocks = stats.config.blocks;
+  span.threads_per_block = stats.config.threads_per_block;
+  span.active_threads = stats.cost.active_threads;
+  span.idle_threads = stats.cost.idle_threads;
+  span.imbalance = stats.cost.imbalance();
+  span.block_cycles.assign(block_cycles.begin(), block_cycles.end());
   spans_.push_back(std::move(span));
   // Chain to any previously attached observer so sessions stack.
-  if (prev_observer_ != nullptr) prev_observer_->on_launch(stats, event);
+  if (prev_observer_ != nullptr) {
+    prev_observer_->on_launch(stats, atomics_delta, wall_ns, block_cycles);
+  }
 }
 
 void Session::finalize() {
@@ -209,7 +212,7 @@ void Session::finalize() {
   final_llc_hits_ = dev_.llc_hits();
   final_llc_misses_ = dev_.llc_misses();
   atomics_at_end_ = dev_.atomic_stats();
-  if (sim::Pool* pool = dev_.pool(); pool != nullptr) {
+  if (Pool* pool = dev_.pool(); pool != nullptr) {
     workers_ = pool->worker_samples();
   }
   finalized_ = true;
@@ -496,7 +499,7 @@ json::Value Session::profile() {
 
   json::Value workers = json::Value::array();
   if (options_.record_wall) {
-    for (const sim::Pool::WorkerSample& w : workers_) {
+    for (const Pool::WorkerSample& w : workers_) {
       json::Value j = json::Value::object();
       j.set("worker", w.worker);
       j.set("busy_ns", w.busy_ns);

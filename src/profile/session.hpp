@@ -1,8 +1,8 @@
 // Unified profiling sessions: hierarchical spans over one algorithm run.
 //
-// The paper's counters (CounterRegistry), the kernel launch timeline
-// (sim::Trace), and the bench JSON artifacts each show one face of a run;
-// a Session ties them together with *phase structure*:
+// The paper's counters (CounterRegistry), the per-launch general metrics,
+// and the bench JSON artifacts each show one face of a run; a Session ties
+// them together with *phase structure*:
 //
 //   algorithm span            opened by the algorithm's run()
 //    └─ phase / iteration     RAII ScopedSpan annotations inside run()
@@ -13,6 +13,10 @@
 // counter, so "which phase spent what" needs no manual bookkeeping. The
 // host pool contributes per-worker wall-clock/utilization samples, putting
 // modeled time and real simulator time side by side.
+//
+// A Session is the device's only launch recorder: its kernel spans also
+// feed the per-kernel timeline views in profile/timeline.hpp (eclp-run
+// --timeline, bench_general_metrics).
 //
 // Sessions export two artifacts:
 //  * perfetto_json(): Chrome trace-event JSON loadable in Perfetto
@@ -43,6 +47,7 @@
 #include "profile/registry.hpp"
 #include "sim/device.hpp"
 #include "support/json.hpp"
+#include "support/pool.hpp"
 
 namespace eclp::profile {
 
@@ -132,12 +137,15 @@ class Session : public sim::LaunchObserver {
   static std::string trace_path_for(const std::string& profile_path);
 
   // --- sim::LaunchObserver ----------------------------------------------------
-  void on_launch(const sim::KernelStats& stats,
-                 const sim::TraceEvent& event) override;
+  void on_launch(const sim::KernelStats& stats, u64 atomics_delta,
+                 u64 wall_ns, std::span<const u64> block_cycles) override;
 
   // --- results ----------------------------------------------------------------
   std::span<const Span> spans() const { return spans_; }
-  std::span<const sim::Pool::WorkerSample> worker_samples() const {
+  /// Device launch count when the session attached; the first kernel span
+  /// recorded is launch start_launches() + 1.
+  u64 start_launches() const { return start_launches_; }
+  std::span<const Pool::WorkerSample> worker_samples() const {
     return workers_;
   }
 
@@ -185,7 +193,7 @@ class Session : public sim::LaunchObserver {
   std::vector<Span> spans_;
   std::vector<OpenState> stack_;
   std::vector<std::pair<std::string, std::string>> meta_;
-  std::vector<sim::Pool::WorkerSample> workers_;
+  std::vector<Pool::WorkerSample> workers_;
   bool finalized_ = false;
   u64 finalize_wall_ns_ = 0;  ///< session wall at finalize (utilization base)
 

@@ -88,23 +88,8 @@ KernelCost Device::finalize_cost(const LaunchConfig& cfg,
 
 void Device::record_trace(const KernelStats& stats, u64 atomics_before) {
   if (!observing()) return;
-  TraceEvent event;
-  event.sequence = launches_;
-  event.kernel = stats.name;
-  event.blocks = stats.config.blocks;
-  event.threads_per_block = stats.config.threads_per_block;
-  event.modeled_cycles = stats.cost.modeled_cycles;
-  event.cumulative_cycles = total_cycles_;
-  event.atomics_delta = atomics_.total() - atomics_before;
-  event.active_threads = stats.cost.active_threads;
-  event.idle_threads = stats.cost.idle_threads;
-  event.imbalance = stats.cost.imbalance();
-  event.llc_hits = stats.cost.llc_hits;
-  event.llc_misses = stats.cost.llc_misses;
-  event.wall_ns = monotonic_ns() - launch_wall_start_;
-  event.block_cycles = block_cycles_;
-  if (observer_ != nullptr) observer_->on_launch(stats, event);
-  if (trace_ != nullptr) trace_->record(std::move(event));
+  observer_->on_launch(stats, atomics_.total() - atomics_before,
+                       monotonic_ns() - launch_wall_start_, block_cycles_);
 }
 
 void Device::host_op(u64 count) { total_cycles_ += cost_.host_op * count; }

@@ -53,7 +53,6 @@
 #include "sim/cache.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/pool.hpp"
-#include "sim/trace.hpp"
 #include "support/check.hpp"
 #include "support/prng.hpp"
 #include "support/timer.hpp"
@@ -102,13 +101,16 @@ class Device;
 /// Receives one callback per completed kernel launch, on the host thread,
 /// after all blocks have joined. This is how profile::Session turns
 /// launches into kernel spans without the Device depending on the profiling
-/// library. The TraceEvent carries the same payload a Trace would record,
-/// plus wall_ns and per-block modeled times (collected only while a trace
-/// or observer is attached, so detached runs pay nothing).
+/// library. Besides the launch's KernelStats it gets what the stats lack:
+/// the atomic ops the launch issued, its simulator wall-clock in ns, and the
+/// modeled time of each block (a view of the device's buffer, valid only
+/// during the call). Wall clock and block times are collected only while an
+/// observer is attached, so detached runs pay nothing.
 class LaunchObserver {
  public:
   virtual ~LaunchObserver() = default;
-  virtual void on_launch(const KernelStats& stats, const TraceEvent& event) = 0;
+  virtual void on_launch(const KernelStats& stats, u64 atomics_delta,
+                         u64 wall_ns, std::span<const u64> block_cycles) = 0;
 };
 
 /// Handle passed to kernel bodies; identifies the thread and provides
@@ -575,14 +577,10 @@ class Device {
     register_buffer(v.data(), v.size() * sizeof(T));
   }
 
-  /// Attach a launch timeline (sim/trace.hpp). Not owned; pass nullptr to
-  /// detach. Every subsequent launch appends one TraceEvent.
-  void set_trace(Trace* trace) { trace_ = trace; }
-
   /// Attach a launch observer (profile sessions). Not owned; pass nullptr
   /// to detach. Called once per launch, on the host thread, after all
   /// blocks have joined. Wall-clock and per-block times are only measured
-  /// while a trace or observer is attached.
+  /// while an observer is attached.
   void set_launch_observer(LaunchObserver* observer) { observer_ = observer; }
   LaunchObserver* launch_observer() const { return observer_; }
 
@@ -595,11 +593,12 @@ class Device {
   KernelCost finalize_cost(const LaunchConfig& cfg,
                            std::span<const u64> thread_work,
                            std::span<const u64> block_sync);
+  /// Hand the finished launch to the observer, if one is attached.
   void record_trace(const KernelStats& stats, u64 atomics_before);
 
-  /// True when some launch consumer (trace or observer) is attached —
-  /// gates every observability-only cost (wall clocks, per-block times).
-  bool observing() const { return trace_ != nullptr || observer_ != nullptr; }
+  /// True when a launch observer is attached — gates every
+  /// observability-only cost (wall clocks, per-block times).
+  bool observing() const { return observer_ != nullptr; }
   /// Stamp the launch's wall-clock start when observed; free otherwise.
   void begin_observation() {
     if (observing()) launch_wall_start_ = monotonic_ns();
@@ -689,7 +688,6 @@ class Device {
   u64 launches_ = 0;
   u64 llc_hits_ = 0;    ///< cumulative modeled-LLC hits (cache enabled only)
   u64 llc_misses_ = 0;  ///< cumulative modeled-LLC misses
-  Trace* trace_ = nullptr;
   LaunchObserver* observer_ = nullptr;
   u64 launch_wall_start_ = 0;
   // Per-block modeled times of the launch currently finalizing; collected

@@ -10,8 +10,8 @@
 #include "graph/reorder.hpp"
 #include "graph/transforms.hpp"
 #include "profile/histogram.hpp"
+#include "profile/timeline.hpp"
 #include "sim/device.hpp"
-#include "sim/trace.hpp"
 
 namespace eclp {
 namespace {
@@ -110,47 +110,53 @@ TEST(Histogram, ResetClears) {
   EXPECT_EQ(h.total(), 0u);
 }
 
-// --- trace -----------------------------------------------------------------------
+// --- launch timeline (session kernel spans and views) ---------------------------
+
+std::vector<const profile::Span*> kernel_spans(const profile::Session& s) {
+  std::vector<const profile::Span*> out;
+  for (const profile::Span& span : s.spans()) {
+    if (span.kind == profile::SpanKind::kKernel) out.push_back(&span);
+  }
+  return out;
+}
 
 TEST(Trace, RecordsEveryLaunch) {
   sim::Device dev;
-  sim::Trace trace;
-  dev.set_trace(&trace);
+  profile::Session session(dev);
   dev.launch("alpha", {2, 32}, [](sim::ThreadCtx& ctx) { ctx.charge_alu(1); });
   dev.launch("beta", {1, 64}, [](sim::ThreadCtx&) {});
   dev.launch("alpha", {2, 32}, [](sim::ThreadCtx&) {});
-  ASSERT_EQ(trace.size(), 3u);
-  EXPECT_EQ(trace.events()[0].kernel, "alpha");
-  EXPECT_EQ(trace.events()[1].kernel, "beta");
-  EXPECT_EQ(trace.events()[1].blocks, 1u);
-  EXPECT_GT(trace.events()[0].modeled_cycles, 0u);
+  const auto kernels = kernel_spans(session);
+  ASSERT_EQ(kernels.size(), 3u);
+  EXPECT_EQ(kernels[0]->name, "alpha");
+  EXPECT_EQ(kernels[1]->name, "beta");
+  EXPECT_EQ(kernels[1]->blocks, 1u);
+  EXPECT_GT(kernels[0]->cycles(), 0u);
   // Cumulative cycles are nondecreasing.
-  EXPECT_LE(trace.events()[0].cumulative_cycles,
-            trace.events()[2].cumulative_cycles);
+  EXPECT_LE(kernels[0]->end_cycles, kernels[2]->end_cycles);
 }
 
 TEST(Trace, CapturesAtomicsDelta) {
   sim::Device dev;
-  sim::Trace trace;
-  dev.set_trace(&trace);
+  profile::Session session(dev);
   u32 x = 0;
   dev.launch("atomics", {1, 8},
              [&](sim::ThreadCtx& ctx) { ctx.atomic_add(x, 1u); });
   dev.launch("quiet", {1, 8}, [](sim::ThreadCtx&) {});
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace.events()[0].atomics_delta, 8u);
-  EXPECT_EQ(trace.events()[1].atomics_delta, 0u);
+  const auto kernels = kernel_spans(session);
+  ASSERT_EQ(kernels.size(), 2u);
+  EXPECT_EQ(kernels[0]->atomics, 8u);
+  EXPECT_EQ(kernels[1]->atomics, 0u);
 }
 
 TEST(Trace, SummaryAggregatesByKernel) {
   sim::Device dev;
-  sim::Trace trace;
-  dev.set_trace(&trace);
+  profile::Session session(dev);
   for (int i = 0; i < 3; ++i) {
     dev.launch("hot", {4, 64}, [](sim::ThreadCtx& ctx) { ctx.charge_alu(50); });
   }
   dev.launch("cold", {1, 1}, [](sim::ThreadCtx&) {});
-  const auto t = trace.summary();
+  const auto t = profile::timeline_summary(session);
   ASSERT_EQ(t.rows(), 2u);
   EXPECT_EQ(t.row(0)[0], "hot");  // sorted by cycle share
   EXPECT_EQ(t.row(0)[1], "3");
@@ -158,22 +164,33 @@ TEST(Trace, SummaryAggregatesByKernel) {
 
 TEST(Trace, CsvHasHeaderAndRows) {
   sim::Device dev;
-  sim::Trace trace;
-  dev.set_trace(&trace);
+  // A launch before the session attaches: the CSV's sequence column keeps
+  // the device's launch numbering, and its cumulative cycles the device total.
+  dev.launch("before", {1, 1}, [](sim::ThreadCtx&) {});
+  profile::Session session(dev);
   dev.launch("k", {1, 1}, [](sim::ThreadCtx&) {});
-  const auto csv = trace.to_csv();
+  const auto csv = profile::timeline_csv(session);
   EXPECT_NE(csv.find("sequence,kernel"), std::string::npos);
-  EXPECT_NE(csv.find("k,1,1"), std::string::npos);
+  EXPECT_NE(csv.find("\n2,k,1,1,"), std::string::npos);
+  EXPECT_EQ(csv.find("before"), std::string::npos);
+  EXPECT_NE(csv.find("," + std::to_string(dev.total_cycles()) + ","),
+            std::string::npos);
 }
 
 TEST(Trace, DetachStopsRecording) {
   sim::Device dev;
-  sim::Trace trace;
-  dev.set_trace(&trace);
-  dev.launch("a", {1, 1}, [](sim::ThreadCtx&) {});
-  dev.set_trace(nullptr);
+  profile::Session outer(dev);
+  {
+    profile::Session inner(dev);
+    dev.launch("a", {1, 1}, [](sim::ThreadCtx&) {});
+    EXPECT_EQ(kernel_spans(inner).size(), 1u);
+  }
+  // The inner session detached and handed the device back to the outer one.
+  EXPECT_EQ(dev.launch_observer(), &outer);
   dev.launch("b", {1, 1}, [](sim::ThreadCtx&) {});
-  EXPECT_EQ(trace.size(), 1u);
+  const auto kernels = kernel_spans(outer);
+  ASSERT_EQ(kernels.size(), 2u);  // "a" chained through the inner session
+  EXPECT_EQ(kernels[1]->name, "b");
 }
 
 // --- dimacs ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "profile/timeline.hpp"
 #include "sim/device.hpp"
 
 namespace eclp::sim {
@@ -269,22 +270,27 @@ TEST(Trace, AllIdleLaunchReportsUnitImbalance) {
   // balanced — imbalance is exactly 1.0, never a division by zero — and it
   // contributes 0% active threads to load_balance().
   Device dev;
-  Trace trace;
-  dev.set_trace(&trace);
+  profile::Session session(dev);
   dev.launch("noop", {2, 32}, [](ThreadCtx&) {});
-  ASSERT_EQ(trace.size(), 1u);
-  const TraceEvent& e = trace.events()[0];
+  ASSERT_EQ(session.spans().size(), 1u);
+  const profile::Span& e = session.spans()[0];
+  EXPECT_EQ(e.kind, profile::SpanKind::kKernel);
   EXPECT_EQ(e.active_threads, 0u);
   EXPECT_EQ(e.idle_threads, 64u);
   EXPECT_EQ(e.imbalance, 1.0);
   // The aggregates render without NaNs or infinities.
-  const std::string csv = trace.to_csv();
+  const std::string csv = profile::timeline_csv(session);
   EXPECT_NE(csv.find("noop,2,32"), std::string::npos);
   EXPECT_EQ(csv.find("nan"), std::string::npos);
   EXPECT_EQ(csv.find("inf"), std::string::npos);
-  const std::string lb = trace.load_balance().to_text();
-  EXPECT_EQ(lb.find("nan"), std::string::npos);
-  EXPECT_EQ(lb.find("inf"), std::string::npos);
+  const Table lb = profile::load_balance(session);
+  ASSERT_EQ(lb.rows(), 1u);
+  EXPECT_EQ(lb.row(0)[2], "0.0");   // avg active %
+  EXPECT_EQ(lb.row(0)[3], "1.00");  // avg imbalance
+  EXPECT_EQ(lb.row(0)[4], "1.00");  // worst imbalance
+  const std::string text = lb.to_text();
+  EXPECT_EQ(text.find("nan"), std::string::npos);
+  EXPECT_EQ(text.find("inf"), std::string::npos);
 }
 
 TEST(Cost, AllIdleImbalanceIsExactlyOne) {
