@@ -20,6 +20,7 @@
 #include "profile/counters.hpp"
 #include "profile/session.hpp"
 #include "sim/device.hpp"
+#include "support/pool.hpp"
 
 namespace {
 
@@ -178,7 +179,7 @@ BENCHMARK(BM_EclSccEndToEnd);
 /// thread scans an edge stripe and does Jacobi-style buffered updates.
 void BM_PoolScalingSccPropagate(benchmark::State& state) {
   const u32 workers = static_cast<u32>(state.range(0));
-  sim::Pool pool(workers);
+  Pool pool(workers);
   const auto g = gen::cold_flow(96, 3);
   for (auto _ : state) {
     sim::Device dev;
@@ -193,7 +194,7 @@ BENCHMARK(BM_PoolScalingSccPropagate)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 /// A pure compute-heavy block-independent map, the best case for scaling.
 void BM_PoolScalingMapKernel(benchmark::State& state) {
   const u32 workers = static_cast<u32>(state.range(0));
-  sim::Pool pool(workers);
+  Pool pool(workers);
   sim::LaunchConfig cfg{64, 256};
   cfg.block_independent = true;
   for (auto _ : state) {

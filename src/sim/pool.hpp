@@ -1,10 +1,10 @@
-// Simulator attachment of the work-stealing host pool.
+// The simulator's host thread-count configuration.
 //
-// The pool itself lives in support/pool.hpp (it also powers the graph
-// ingest pipeline via support/parallel_for.hpp); this header re-exports it
-// under eclp::sim for the simulator's callers and owns the *simulator's*
-// process-wide configuration: how many host threads a Device dispatches
-// block-independent launches across. That knob (ECLP_SIM_THREADS /
+// The work-stealing pool itself is eclp::Pool in support/pool.hpp (it also
+// powers the graph ingest pipeline via support/parallel_for.hpp). This
+// header only owns the *simulator's* process-wide configuration: how many
+// host threads a Device dispatches block-independent launches across, and
+// the shared pool of that size. That knob (ECLP_SIM_THREADS /
 // --sim-threads) is deliberately separate from the ingest knob
 // (ECLP_BUILD_THREADS): simulation thread counts are an experimental
 // variable, ingest just wants the hardware.
@@ -18,8 +18,6 @@
 #include "support/pool.hpp"
 
 namespace eclp::sim {
-
-using ::eclp::Pool;
 
 /// Number of simulator host threads currently configured (>= 1). The first
 /// call reads the ECLP_SIM_THREADS environment variable; set_sim_threads

@@ -19,6 +19,7 @@
 #include "graph/transforms.hpp"
 #include "sim/device.hpp"
 #include "sim/pool.hpp"
+#include "support/pool.hpp"
 
 namespace eclp {
 namespace {
@@ -51,7 +52,7 @@ DeviceDigest digest(const sim::Device& dev) {
 /// seed; returns the device digest. `body` captures its own result fields.
 template <typename Body>
 DeviceDigest run_with_workers(u32 workers, u64 seed, Body&& body) {
-  sim::Pool pool(workers);
+  Pool pool(workers);
   sim::Device dev(sim::CostModel{}, seed,
                   seed == 0 ? sim::ScheduleMode::kDeterministic
                             : sim::ScheduleMode::kShuffled);

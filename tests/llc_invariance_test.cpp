@@ -21,7 +21,7 @@
 #include "graph/transforms.hpp"
 #include "sim/cache.hpp"
 #include "sim/device.hpp"
-#include "sim/pool.hpp"
+#include "support/pool.hpp"
 
 namespace eclp {
 namespace {
@@ -39,7 +39,7 @@ struct LlcDigest {
 
 template <typename Body>
 LlcDigest run_with_workers(u32 workers, u64 seed, Body&& body) {
-  sim::Pool pool(workers);
+  Pool pool(workers);
   sim::CostModel cost;
   cost.cache = sim::parse_cache_config("on");
   sim::Device dev(cost, seed,

@@ -27,7 +27,7 @@
 #include "gen/meshes.hpp"
 #include "graph/transforms.hpp"
 #include "sim/device.hpp"
-#include "sim/pool.hpp"
+#include "support/pool.hpp"
 
 namespace eclp {
 namespace {
@@ -88,7 +88,7 @@ void append_device_fields(Line& line, const sim::Device& dev) {
 template <typename Body>
 std::string run_line(const std::string& algo, u64 seed, u32 workers,
                      Body&& body) {
-  sim::Pool pool(workers);
+  Pool pool(workers);
   sim::Device dev(sim::CostModel{}, seed,
                   seed == 0 ? sim::ScheduleMode::kDeterministic
                             : sim::ScheduleMode::kShuffled);

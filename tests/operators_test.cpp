@@ -15,8 +15,8 @@
 #include "graph/builder.hpp"
 #include "profile/session.hpp"
 #include "sim/operators.hpp"
-#include "sim/pool.hpp"
 #include "support/check.hpp"
+#include "support/pool.hpp"
 #include "support/prng.hpp"
 
 namespace eclp {
@@ -372,7 +372,7 @@ TEST(Operators, BlockIndependentComputeIsBitIdenticalAcrossWorkerCounts) {
   cfg.block_independent = true;
 
   const auto run = [&](u32 workers) {
-    sim::Pool pool(workers);
+    Pool pool(workers);
     Device dev;
     dev.set_pool(workers > 1 ? &pool : nullptr);
     std::vector<u64> out(n, 0);
