@@ -1,6 +1,5 @@
 #include "sim/pool.hpp"
 
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 
@@ -12,17 +11,10 @@ std::mutex g_config_mutex;
 u32 g_sim_threads = 0;  // 0 = not yet initialized from the environment
 std::unique_ptr<Pool> g_shared_pool;
 
-u32 threads_from_env() {
-  const char* s = std::getenv("ECLP_SIM_THREADS");
-  if (s == nullptr || *s == '\0') return 1;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || v < 0) return 1;
-  return clamp_worker_count(static_cast<u32>(v));
-}
-
 u32 sim_threads_locked() {
-  if (g_sim_threads == 0) g_sim_threads = threads_from_env();
+  if (g_sim_threads == 0) {
+    g_sim_threads = worker_count_from_env("ECLP_SIM_THREADS", 1);
+  }
   return g_sim_threads;
 }
 

@@ -1,6 +1,5 @@
 #include "support/parallel_for.hpp"
 
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 
@@ -12,17 +11,10 @@ std::mutex g_mutex;
 u32 g_build_threads = 0;  // 0 = not yet initialized from the environment
 std::unique_ptr<Pool> g_build_pool;
 
-u32 threads_from_env() {
-  const char* s = std::getenv("ECLP_BUILD_THREADS");
-  if (s == nullptr || *s == '\0') return clamp_worker_count(0);
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || v < 0) return clamp_worker_count(0);
-  return clamp_worker_count(static_cast<u32>(v));
-}
-
 u32 build_threads_locked() {
-  if (g_build_threads == 0) g_build_threads = threads_from_env();
+  if (g_build_threads == 0) {
+    g_build_threads = worker_count_from_env("ECLP_BUILD_THREADS", 0);
+  }
   return g_build_threads;
 }
 

@@ -1,6 +1,9 @@
 #include "support/pool.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdlib>
+#include <cstring>
 
 #include "support/timer.hpp"
 
@@ -20,6 +23,18 @@ u32 hardware_workers() {
 u32 clamp_worker_count(u32 n) {
   if (n == 0) return hardware_workers();
   return std::clamp<u32>(n, 1, kMaxWorkerSlots);
+}
+
+u32 worker_count_from_env(const char* name, u32 fallback) {
+  const char* s = std::getenv(name);
+  if (s == nullptr) return clamp_worker_count(fallback);
+  const char* end = s + std::strlen(s);
+  u32 v = 0;
+  const auto [ptr, ec] = std::from_chars(s, end, v);
+  if (s == end || ec != std::errc() || ptr != end) {
+    return clamp_worker_count(fallback);
+  }
+  return clamp_worker_count(v);
 }
 
 Pool::Pool(u32 workers)

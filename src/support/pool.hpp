@@ -131,4 +131,10 @@ class Pool {
 /// worker per hardware thread (what Pool's constructor does internally).
 u32 clamp_worker_count(u32 n);
 
+/// Worker count requested by environment variable `name` (ECLP_SIM_THREADS,
+/// ECLP_BUILD_THREADS), clamped like clamp_worker_count. An unset, empty,
+/// or invalid value — not a plain decimal, negative, or beyond u32 — yields
+/// clamp_worker_count(fallback) instead, so no value ever wraps.
+u32 worker_count_from_env(const char* name, u32 fallback);
+
 }  // namespace eclp
