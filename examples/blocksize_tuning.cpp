@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
                  "");
   cli.parse(argc, argv);
   if (!cli.get("sim-threads").empty()) {
-    sim::set_sim_threads(static_cast<u32>(cli.get_int("sim-threads")));
+    sim::set_sim_threads(cli.get_u32("sim-threads"));
   }
   const auto g =
       gen::find_input(cli.get("input")).make(gen::parse_scale(cli.get("scale")));

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
                  "");
   cli.parse(argc, argv);
   if (!cli.get("sim-threads").empty()) {
-    sim::set_sim_threads(static_cast<u32>(cli.get_int("sim-threads")));
+    sim::set_sim_threads(cli.get_u32("sim-threads"));
   }
 
   // 1. Get a graph. Any undirected graph::Csr works; the suite mirrors the

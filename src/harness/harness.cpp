@@ -143,10 +143,10 @@ BenchContext parse(int argc, const char* const* argv,
   ctx.runs = static_cast<int>(ctx.cli.get_int("runs"));
   ECLP_CHECK(ctx.runs >= 1);
   if (!ctx.cli.get("sim-threads").empty()) {
-    sim::set_sim_threads(static_cast<u32>(ctx.cli.get_int("sim-threads")));
+    sim::set_sim_threads(ctx.cli.get_u32("sim-threads"));
   }
   if (!ctx.cli.get("build-threads").empty()) {
-    set_build_threads(static_cast<u32>(ctx.cli.get_int("build-threads")));
+    set_build_threads(ctx.cli.get_u32("build-threads"));
   }
   if (!ctx.cli.get("graph-cache").empty()) {
     graph::set_cache_dir(ctx.cli.get("graph-cache"));

@@ -1,5 +1,7 @@
 #include "support/cli.hpp"
 
+#include <charconv>
+#include <limits>
 #include <sstream>
 
 #include "support/check.hpp"
@@ -61,11 +63,22 @@ std::string Cli::get(const std::string& name) const {
 
 i64 Cli::get_int(const std::string& name) const {
   const std::string v = get(name);
-  usize pos = 0;
-  const i64 out = std::stoll(v, &pos);
-  ECLP_CHECK_MSG(pos == v.size(), "--" << name << "=" << v
-                                       << " is not an integer");
+  const char* end = v.data() + v.size();
+  i64 out = 0;
+  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+  ECLP_CHECK_MSG(ec != std::errc::result_out_of_range,
+                 "--" << name << "=" << v << " is out of the 64-bit range");
+  ECLP_CHECK_MSG(ec == std::errc() && ptr == end,
+                 "--" << name << "=" << v << " is not an integer");
   return out;
+}
+
+u32 Cli::get_u32(const std::string& name) const {
+  const i64 v = get_int(name);
+  ECLP_CHECK_MSG(v >= 0 && v <= i64{std::numeric_limits<u32>::max()},
+                 "--" << name << "=" << v << " is out of range [0, "
+                      << std::numeric_limits<u32>::max() << "]");
+  return static_cast<u32>(v);
 }
 
 double Cli::get_double(const std::string& name) const {

@@ -24,9 +24,12 @@ class Cli {
   /// Parse argv. Throws CheckFailure on unknown/malformed options.
   void parse(int argc, const char* const* argv);
 
-  /// Typed accessors (fall back to the declared default).
+  /// Typed accessors (fall back to the declared default). Integer
+  /// accessors throw CheckFailure naming the option on a malformed or
+  /// out-of-range value; they never wrap.
   std::string get(const std::string& name) const;
   i64 get_int(const std::string& name) const;
+  u32 get_u32(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_flag(const std::string& name) const;
   const std::vector<std::string>& positional() const { return positional_; }

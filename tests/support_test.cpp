@@ -303,7 +303,42 @@ TEST(Cli, NonNumericValueThrows) {
   cli.add_option("runs", "repetitions", "3");
   const char* argv[] = {"prog", "--runs=abc"};
   cli.parse(2, argv);
-  EXPECT_THROW(cli.get_int("runs"), std::exception);
+  EXPECT_THROW(cli.get_int("runs"), CheckFailure);
+  EXPECT_THROW(cli.get_u32("runs"), CheckFailure);
+}
+
+TEST(Cli, OutOfRangeIntegersThrowNamingTheFlag) {
+  const auto parsed = [](const char* arg) {
+    Cli cli;
+    cli.add_option("threads", "workers", "1");
+    const char* argv[] = {"prog", arg};
+    cli.parse(2, argv);
+    return cli;
+  };
+  const auto message = [](const auto& fn) -> std::string {
+    try {
+      fn();
+    } catch (const CheckFailure& e) {
+      return e.what();
+    }
+    return "";
+  };
+  // Beyond i64: a typed error, not std::out_of_range.
+  const Cli huge = parsed("--threads=99999999999999999999");
+  EXPECT_NE(message([&] { huge.get_int("threads"); }).find("--threads="),
+            std::string::npos);
+  EXPECT_THROW(huge.get_u32("threads"), CheckFailure);
+  // Negative and beyond-u32 values are valid i64s but never wrap to a u32.
+  const Cli negative = parsed("--threads=-1");
+  EXPECT_EQ(negative.get_int("threads"), -1);
+  EXPECT_NE(message([&] { negative.get_u32("threads"); }).find("--threads=-1"),
+            std::string::npos);
+  EXPECT_THROW(parsed("--threads=4294967296").get_u32("threads"),
+               CheckFailure);
+  EXPECT_EQ(parsed("--threads=4294967295").get_u32("threads"), 4294967295u);
+  // Trailing garbage and empty values are malformed, not truncated.
+  EXPECT_THROW(parsed("--threads=4x").get_int("threads"), CheckFailure);
+  EXPECT_THROW(parsed("--threads=").get_int("threads"), CheckFailure);
 }
 
 TEST(Cli, UsageMentionsOptions) {

@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   ECLP_CHECK_MSG(!cli.get("requests").empty(),
                  "pass --requests=<file.jsonl>");
   if (!cli.get("build-threads").empty()) {
-    set_build_threads(static_cast<u32>(cli.get_int("build-threads")));
+    set_build_threads(cli.get_u32("build-threads"));
   }
   if (!cli.get("graph-cache").empty()) {
     graph::set_cache_dir(cli.get("graph-cache"));
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
   }
 
   serve::ServerOptions options;
-  options.threads = static_cast<u32>(cli.get_int("threads"));
+  options.threads = cli.get_u32("threads");
   options.max_queue = static_cast<usize>(cli.get_int("max-queue"));
   options.graph_pool_bytes = static_cast<u64>(cli.get_int("pool-mb")) << 20;
   options.profile_dir = cli.get("profile-dir");
