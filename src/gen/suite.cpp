@@ -331,6 +331,16 @@ Scale parse_scale(const std::string& s) {
   return Scale::kDefault;
 }
 
+const char* scale_name(Scale s) {
+  switch (s) {
+    case Scale::kTiny: return "tiny";
+    case Scale::kSmall: return "small";
+    case Scale::kDefault: return "default";
+    case Scale::kHuge: return "huge";
+  }
+  return "default";
+}
+
 u64 suite_cache_version() {
   // The chunk-stream version rides along so a change to the per-chunk
   // seeding scheme moves every key even without a suite-level bump.

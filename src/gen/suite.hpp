@@ -25,6 +25,8 @@ enum class Scale : u8 { kTiny = 0, kSmall = 1, kDefault = 2, kHuge = 3 };
 
 /// Parse "tiny"/"small"/"default"/"huge" (used by bench --scale flags).
 Scale parse_scale(const std::string& s);
+/// The name parse_scale() maps back to `s`.
+const char* scale_name(Scale s);
 
 /// The row Table 1 reports for the original input file.
 struct PaperRow {

@@ -5,8 +5,10 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <thread>
 
 #include "graph/cache.hpp"
+#include "sim/pool.hpp"
 #include "support/parallel_for.hpp"
 #include "support/stats.hpp"
 
@@ -53,6 +55,16 @@ std::string json_cell(const std::string& cell) {
   return '"' + json_escape(cell) + '"';
 }
 
+const char* compiler() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "gcc " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
 /// Rewrite ctx.json_path from the tables collected so far. The whole
 /// document is regenerated on every emit so a bench that exits between
 /// tables still leaves a valid artifact behind.
@@ -63,6 +75,14 @@ void write_json(const BenchContext& ctx) {
     return;
   }
   os << "{\n  \"bench\": \"" << json_escape(ctx.bench_name) << "\",\n"
+     << "  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
+     << ", \"compiler\": \"" << json_escape(compiler()) << '"'
+     << ", \"build_type\": \"" << ECLP_BUILD_TYPE << '"'
+     << ", \"eclp_hardened\": " << (ECLP_HARDENED != 0 ? "true" : "false")
+     << ", \"sim_threads\": " << sim::sim_threads()
+     << ", \"build_threads\": " << build_threads()
+     << ", \"scale\": \"" << gen::scale_name(ctx.scale) << '"'
+     << ", \"runs\": " << ctx.runs << "},\n"
      << "  \"tables\": [";
   bool first_table = true;
   for (const auto& [id, table] : ctx.json_tables) {

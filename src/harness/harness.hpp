@@ -9,7 +9,9 @@
 //   --runs=<k>                   repetitions for median-of-k measurements
 //   --json=<path>                machine-readable copy of every emitted
 //                                table (one JSON document; numbers parsed
-//                                back out of the formatted cells) — the
+//                                back out of the formatted cells) after a
+//                                host block (cores, compiler, build type,
+//                                thread counts, scale, runs) — the
 //                                BENCH_<name>.json perf-trajectory artifacts
 //   --build-threads=<n>          ingest parallelism (ECLP_BUILD_THREADS)
 //   --graph-cache=<dir>          content-addressed graph cache dir

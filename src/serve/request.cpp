@@ -4,19 +4,6 @@
 
 namespace eclp::serve {
 
-namespace {
-
-const char* scale_name(gen::Scale s) {
-  switch (s) {
-    case gen::Scale::kTiny: return "tiny";
-    case gen::Scale::kSmall: return "small";
-    case gen::Scale::kDefault: return "default";
-  }
-  return "tiny";
-}
-
-}  // namespace
-
 const char* algo_name(Algo a) {
   switch (a) {
     case Algo::kCc: return "cc";
@@ -93,7 +80,7 @@ json::Value Request::to_json() const {
   v.set("algo", algo_name(algo));
   if (!input.empty()) {
     v.set("input", input);
-    v.set("scale", scale_name(scale));
+    v.set("scale", gen::scale_name(scale));
   } else {
     v.set("graph", file);
   }

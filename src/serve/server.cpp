@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <utility>
 
 #include "algos/cc/ecl_cc.hpp"
@@ -18,6 +19,7 @@
 #include "sim/cache.hpp"
 #include "profile/session.hpp"
 #include "sim/device.hpp"
+#include "support/pool.hpp"
 #include "support/timer.hpp"
 
 namespace eclp::serve {
@@ -59,7 +61,7 @@ Server::Server(ServerOptions options)
     : options_(std::move(options)),
       clock_(options_.clock_ns ? options_.clock_ns
                                : ClockFn([] { return monotonic_ns(); })),
-      exec_pool_(options_.threads),
+      threads_(clamp_worker_count(options_.threads)),
       graphs_(options_.graph_pool_bytes) {
   if (!options_.profile_dir.empty()) {
     std::filesystem::create_directories(options_.profile_dir);
@@ -100,14 +102,17 @@ Server::~Server() {
     stop_ = true;
   }
   pending_cv_.notify_all();
-  dispatcher_.join();
+  for (std::thread& t : workers_) t.join();
 }
 
 void Server::start() {
   std::lock_guard<std::mutex> lk(mutex_);
   if (started_) return;
   started_ = true;
-  dispatcher_ = std::thread([this] { dispatcher_main(); });
+  workers_.reserve(threads_);
+  for (u32 i = 0; i < threads_; ++i) {
+    workers_.emplace_back([this] { worker_main(); });
+  }
 }
 
 std::future<Response> Server::submit(Request req) {
@@ -199,34 +204,49 @@ std::vector<Response> Server::serve(std::vector<Request> requests) {
   return responses;
 }
 
-void Server::dispatcher_main() {
+/// One serving worker: take the oldest pending request, execute it, resolve
+/// its promise, repeat. No request waits for an unrelated one to finish.
+void Server::worker_main() {
+  std::unique_lock<std::mutex> lk(mutex_);
   for (;;) {
-    std::vector<Job> wave;
-    {
-      std::unique_lock<std::mutex> lk(mutex_);
-      pending_cv_.wait(lk, [&] { return stop_ || !pending_.empty(); });
-      if (pending_.empty()) return;  // only reachable when stopping
-      wave.reserve(pending_.size());
-      while (!pending_.empty()) {
-        wave.push_back(std::move(pending_.front()));
-        pending_.pop_front();
+    pending_cv_.wait(lk, [&] { return stop_ || !pending_.empty(); });
+    if (pending_.empty()) return;  // only reachable when stopping
+    Job job = std::move(pending_.front());
+    pending_.pop_front();
+    stats_.queue_depth = pending_.size();
+    if (inst_.queue_depth != nullptr) {
+      inst_.queue_depth->set(static_cast<i64>(stats_.queue_depth));
+    }
+    ++running_;
+    if (!in_wave_) {
+      in_wave_ = true;
+      wave_start_ns_ = now_ns();
+    }
+    lk.unlock();
+    space_cv_.notify_one();
+    // execute() never throws: errors become Status::kError responses.
+    Response r = execute(job);
+    lk.lock();
+    if (r.status == Status::kOk) {
+      stats_.completed++;
+      if (inst_.completed != nullptr) inst_.completed->inc();
+    } else {
+      stats_.failed++;
+      if (inst_.failed != nullptr) inst_.failed->inc();
+    }
+    // The busy period closes with its last request, and is recorded before
+    // that response resolves: a caller that saw every response sees every
+    // wave.
+    if (--running_ == 0 && pending_.empty()) {
+      in_wave_ = false;
+      if (inst_.waves != nullptr) inst_.waves->inc();
+      if (inst_.wave_us != nullptr) {
+        inst_.wave_us->observe((now_ns() - wave_start_ns_) / 1000);
       }
-      stats_.queue_depth = 0;
-      if (inst_.queue_depth != nullptr) inst_.queue_depth->set(0);
     }
-    space_cv_.notify_all();
-    // One task per request on the shared work-stealing pool; the
-    // dispatcher participates as worker 0, so `threads` is the
-    // concurrency bound. execute() never throws (errors become
-    // Status::kError responses), so no task can poison the wave.
-    const u64 wave_start = now_ns();
-    exec_pool_.run(wave.size(), [&](u64 i, u32) {
-      wave[i].promise.set_value(execute(wave[i]));
-    });
-    if (inst_.waves != nullptr) inst_.waves->inc();
-    if (inst_.wave_us != nullptr) {
-      inst_.wave_us->observe((now_ns() - wave_start) / 1000);
-    }
+    lk.unlock();
+    job.promise.set_value(std::move(r));
+    lk.lock();
   }
 }
 
@@ -410,16 +430,6 @@ Response Server::execute(const Job& job) {
         static_cast<u64>(r.wall_ms * 1e3));
   }
   if (inst_.inflight != nullptr) inst_.inflight->sub(1);
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    if (r.status == Status::kOk) {
-      stats_.completed++;
-      if (inst_.completed != nullptr) inst_.completed->inc();
-    } else {
-      stats_.failed++;
-      if (inst_.failed != nullptr) inst_.failed->inc();
-    }
-  }
   if (job.traced) {
     json::Value fields = json::Value::object();
     fields.set("status", status_name(r.status));

@@ -4,9 +4,8 @@
 // startup per run; the Server executes many requests inside one process:
 //
 //   submit/serve            bounded pending queue (admission control)
-//     └─ dispatcher thread  swaps the queue into a wave
-//         └─ Pool::run      work-stealing execution, one task per request
-//             └─ execute()  per-request Device + optional profile::Session
+//     └─ worker threads     each pops the next request as soon as it is free
+//         └─ execute()      per-request Device + optional profile::Session
 //                           over a graph::Pool::Pin on the shared CSR
 //
 // Isolation model: every request gets its own sim::Device (own PRNG
@@ -20,15 +19,16 @@
 //
 // Admission control: the pending queue is bounded by max_queue. submit()
 // rejects above the bound with a typed Status::kRejected response;
-// enqueue()/serve() apply backpressure instead (block until space). The
-// in-flight wave is bounded by the same constant, so a flooded server
-// degrades by rejecting, not by queue growth.
+// enqueue()/serve() apply backpressure instead (block until space). At
+// most `threads` requests execute at once, so a flooded server degrades
+// by rejecting, not by queue growth.
 #pragma once
 
 #include <array>
+#include <condition_variable>
 #include <deque>
 #include <future>
-#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,14 +37,12 @@
 #include "serve/request.hpp"
 #include "serve/telemetry.hpp"
 #include "support/metrics.hpp"
-#include "support/pool.hpp"
 
 namespace eclp::serve {
 
 struct ServerOptions {
-  /// Worker slots of the shared execution pool (0 = one per hardware
-  /// thread). The dispatcher participates as worker 0 while a wave runs,
-  /// so this is the concurrency bound on in-flight requests.
+  /// Worker threads (0 = one per hardware thread). Each runs one request
+  /// at a time, so this is the concurrency bound on in-flight requests.
   u32 threads = 0;
   /// Pending-queue bound: submit() rejects once this many requests wait.
   usize max_queue = 256;
@@ -53,18 +51,20 @@ struct ServerOptions {
   /// When non-empty, every request records a profile::Session written to
   /// <profile_dir>/<id>.json (+ the Perfetto twin). See docs/SERVING.md.
   std::string profile_dir;
-  /// Do not start the dispatcher in the constructor; callers fill the
-  /// queue first and call start(). Deterministic admission for tests.
+  /// Do not start the workers in the constructor; callers fill the queue
+  /// first and call start(). Deterministic admission for tests.
   bool manual_start = false;
   /// When set, the server registers its instruments here (and binds the
   /// graph pool's): counters serve.{submitted,accepted,rejected,completed,
   /// failed,waves,slow} and pool.{hits,misses,evictions}, gauges
   /// serve.queue.{depth,peak} / serve.inflight / pool.{bytes,entries},
   /// histograms serve.wave_us and serve.latency_us.<algo>. Must outlive
-  /// the server. Wave metrics are recorded by the dispatcher *after* the
-  /// wave's responses resolve — take a final snapshot only after the
-  /// server is destroyed (its destructor joins the dispatcher).
-  /// See docs/OBSERVABILITY.md, "Runtime telemetry".
+  /// the server. A "wave" is a busy period: it opens when a worker takes a
+  /// request from an idle server and closes when the last in-flight
+  /// request finishes with the queue empty. It is recorded before that
+  /// request's response resolves, so wave metrics are complete once the
+  /// last response resolves. See docs/OBSERVABILITY.md, "Runtime
+  /// telemetry".
   metrics::Registry* metrics = nullptr;
   /// When set, every request's lifecycle is traced (admitted/rejected/
   /// started/pool/finished events). Must outlive the server.
@@ -116,12 +116,12 @@ class Server {
   /// Serve a whole batch with backpressure; responses in request order.
   std::vector<Response> serve(std::vector<Request> requests);
 
-  /// Start the dispatcher (only needed with ServerOptions::manual_start).
+  /// Start the workers (only needed with ServerOptions::manual_start).
   void start();
 
   ServerStats stats() const;
   const graph::Pool& graph_pool() const { return graphs_; }
-  u32 threads() const { return exec_pool_.size(); }
+  u32 threads() const { return threads_; }
 
   /// The pool key of a request's algorithm-ready graph: source (suite
   /// name + scale, or file path), directedness as the algorithm wants it,
@@ -157,7 +157,7 @@ class Server {
     std::array<metrics::Histogram*, 5> latency_us = {};
   };
 
-  void dispatcher_main();
+  void worker_main();
   void admit_locked(Job& job);
   Response execute(const Job& job);
   graph::Csr build_graph(const Request& req) const;
@@ -166,17 +166,20 @@ class Server {
   ServerOptions options_;
   ClockFn clock_;        ///< resolved: options_.clock_ns or monotonic_ns
   Instruments inst_;
-  Pool exec_pool_;       ///< shared work-stealing pool (one task = one request)
+  u32 threads_;          ///< resolved options_.threads
   graph::Pool graphs_;   ///< shared ref-counted CSR pool
 
   mutable std::mutex mutex_;
-  std::condition_variable pending_cv_;  ///< dispatcher: work available
+  std::condition_variable pending_cv_;  ///< workers: work available
   std::condition_variable space_cv_;    ///< enqueue(): queue has room
   std::deque<Job> pending_;
+  u32 running_ = 0;       ///< requests executing right now
+  bool in_wave_ = false;  ///< a busy period is open
+  u64 wave_start_ns_ = 0;
   bool stop_ = false;
   bool started_ = false;
   ServerStats stats_;
-  std::thread dispatcher_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace eclp::serve

@@ -185,6 +185,10 @@ TEST(Suite, ScaleParsing) {
   EXPECT_EQ(parse_scale("default"), Scale::kDefault);
   EXPECT_EQ(parse_scale("huge"), Scale::kHuge);
   EXPECT_THROW(parse_scale("gigantic"), CheckFailure);
+  for (const Scale s :
+       {Scale::kTiny, Scale::kSmall, Scale::kDefault, Scale::kHuge}) {
+    EXPECT_EQ(parse_scale(scale_name(s)), s);
+  }
 }
 
 TEST(Suite, HugeScaleIsFlaggedOnStreamedEntriesOnly) {

@@ -190,8 +190,8 @@ TEST(ServeStress, StatsInvariantHoldsWhileAFailedBuildIsInFlight) {
 
 /// Full-stack storm: submitter threads firing mixed algorithm requests at
 /// a Server whose graph pool is far too small for the working set, so
-/// requests continuously rebuild, share, and evict graphs while the wave
-/// executor runs them concurrently.
+/// requests continuously rebuild, share, and evict graphs while the
+/// server's workers run them concurrently.
 TEST(ServeStress, ServerHandlesConcurrentMixedLoadWithTinyPool) {
   serve::ServerOptions opt;
   opt.threads = 4;

@@ -34,6 +34,7 @@
 #include "serve/server.hpp"
 #include "sim/cache.hpp"
 #include "sim/device.hpp"
+#include "support/metrics.hpp"
 
 namespace eclp {
 namespace {
@@ -97,22 +98,25 @@ TEST(ServeRequest, RejectsMalformedRequests) {
 }
 
 TEST(ServeRequest, JsonRoundTrip) {
-  serve::Request r;
-  r.id = "round-trip";
-  r.algo = serve::Algo::kMst;
-  r.input = "USA-road-d.NY";
-  r.scale = gen::Scale::kSmall;
-  r.seed = 123;
-  r.weights_seed = 7;
-  r.verify = true;
-  const auto back = serve::Request::from_json(r.to_json(), 0);
-  EXPECT_EQ(back.id, r.id);
-  EXPECT_EQ(back.algo, r.algo);
-  EXPECT_EQ(back.input, r.input);
-  EXPECT_EQ(back.scale, r.scale);
-  EXPECT_EQ(back.seed, r.seed);
-  EXPECT_EQ(back.weights_seed, r.weights_seed);
-  EXPECT_EQ(back.verify, r.verify);
+  for (const gen::Scale scale : {gen::Scale::kTiny, gen::Scale::kSmall,
+                                 gen::Scale::kDefault, gen::Scale::kHuge}) {
+    serve::Request r;
+    r.id = "round-trip";
+    r.algo = serve::Algo::kMst;
+    r.input = "USA-road-d.NY";
+    r.scale = scale;
+    r.seed = 123;
+    r.weights_seed = 7;
+    r.verify = true;
+    const auto back = serve::Request::from_json(r.to_json(), 0);
+    EXPECT_EQ(back.id, r.id);
+    EXPECT_EQ(back.algo, r.algo);
+    EXPECT_EQ(back.input, r.input);
+    EXPECT_EQ(back.scale, r.scale) << gen::scale_name(scale);
+    EXPECT_EQ(back.seed, r.seed);
+    EXPECT_EQ(back.weights_seed, r.weights_seed);
+    EXPECT_EQ(back.verify, r.verify);
+  }
 }
 
 TEST(ServeRequest, TimingFieldsStayOutOfDeterministicRendering) {
@@ -466,7 +470,7 @@ TEST(Server, RejectsWhenQueueIsFullAndRecovers) {
   serve::ServerOptions opt;
   opt.threads = 1;
   opt.max_queue = 2;
-  opt.manual_start = true;  // fill the queue before the dispatcher runs
+  opt.manual_start = true;  // fill the queue before the workers run
   serve::Server server(opt);
   std::vector<std::future<serve::Response>> futures;
   for (u32 i = 0; i < 4; ++i) {
@@ -506,7 +510,7 @@ TEST(Server, RejectsWhenQueueIsFullAndRecovers) {
 TEST(Server, TracksQueueDepthAndHighWaterMark) {
   serve::ServerOptions opt;
   opt.threads = 2;
-  opt.manual_start = true;  // queue fills before the dispatcher drains it
+  opt.manual_start = true;  // queue fills before the workers drain it
   serve::Server server(opt);
   std::vector<std::future<serve::Response>> futures;
   for (u32 i = 0; i < 5; ++i) {
@@ -522,6 +526,56 @@ TEST(Server, TracksQueueDepthAndHighWaterMark) {
   // Drained: depth returns to zero, the high-water mark stays.
   EXPECT_EQ(s.queue_depth, 0u);
   EXPECT_EQ(s.queue_peak, 5u);
+}
+
+/// Head-of-line blocking: a request admitted while a long one executes
+/// must not wait for it. With two workers, a tiny CC request submitted
+/// after a small-scale mesh SCC started resolves while the SCC still runs.
+TEST(Server, ShortRequestDoesNotWaitForALongOne) {
+  metrics::Registry registry;
+  serve::ServerOptions opt;
+  opt.threads = 2;
+  opt.metrics = &registry;
+  serve::Server server(opt);
+  serve::Request scc =
+      make_request("long-scc", serve::Algo::kScc, "toroid-hex");
+  scc.scale = gen::Scale::kSmall;
+  std::future<serve::Response> long_f = server.submit(scc);
+  // serve.inflight rises just before the request's "started" trace event.
+  const metrics::Gauge& inflight = registry.gauge("serve.inflight");
+  while (inflight.value() == 0) std::this_thread::yield();
+  std::future<serve::Response> short_f =
+      server.submit(make_request("short-cc", serve::Algo::kCc, "internet"));
+  ASSERT_EQ(short_f.wait_for(std::chrono::seconds(60)),
+            std::future_status::ready);
+  EXPECT_EQ(long_f.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "the short request waited for the long one";
+  EXPECT_EQ(short_f.get().status, serve::Status::kOk);
+  EXPECT_EQ(long_f.get().status, serve::Status::kOk);
+}
+
+/// A wave (busy period) is recorded before the response that closes it
+/// resolves, so wave metrics are complete once the caller holds every
+/// response: no need to destroy the Server first.
+TEST(Server, WaveMetricsAreCompleteWhenTheLastResponseResolves) {
+  metrics::Registry registry;
+  serve::ServerOptions opt;
+  opt.threads = 4;
+  opt.manual_start = true;  // one pre-filled batch: exactly one wave
+  opt.metrics = &registry;
+  serve::Server server(opt);
+  std::vector<std::future<serve::Response>> futures;
+  for (u32 i = 0; i < 6; ++i) {
+    futures.push_back(server.submit(make_request(
+        "w" + std::to_string(i), serve::Algo::kCc, "internet")));
+  }
+  server.start();
+  for (auto& f : futures) f.get();
+  const metrics::Counter& waves = registry.counter("serve.waves");
+  EXPECT_EQ(waves.value(), 1u);
+  server.serve({make_request("single", serve::Algo::kMis, "internet")});
+  EXPECT_EQ(waves.value(), 2u);
 }
 
 TEST(Server, StatsJsonRoundTripsWithConsistentInvariants) {

@@ -267,7 +267,7 @@ TelemetryRun run_telemetry_mix(u32 threads) {
     for (const serve::Request& r : telemetry_mix()) {
       server.enqueue(r).get();
     }
-  }  // destructor joins the dispatcher: wave metrics are all recorded
+  }
   const metrics::Snapshot snap = registry.snapshot();
   TelemetryRun run;
   const json::Value doc = serve::Telemetry::to_json(snap, 0, 0);

@@ -163,9 +163,9 @@ int main(int argc, char** argv) {
   const double total_ms = wall.milliseconds();
   const u32 serve_threads = server->threads();
   const serve::ServerStats stats = server->stats();
-  // Destroy the server before the final telemetry snapshot: the destructor
-  // joins the dispatcher, so wave metrics recorded after the last response
-  // resolves are guaranteed to be in the registry.
+  // Wave metrics are complete once the last response resolves, so the final
+  // telemetry snapshot sees every wave; the server's workers are stopped
+  // here, before that snapshot.
   server.reset();
 
   const std::string jsonl =
