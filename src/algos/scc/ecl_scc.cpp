@@ -1,6 +1,8 @@
 #include "algos/scc/ecl_scc.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "algos/common.hpp"
 #include "profile/session.hpp"
@@ -66,6 +68,26 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
   for (const Arc& arc : arcs) {
     alive_out[arc.src]++;
     alive_in[arc.dst]++;
+  }
+
+  // Every vertex's in-arcs as ascending arc indices (a CSC view of `arcs`),
+  // so a propagation commit can name the threads that read a vertex.
+  std::vector<eidx> in_begin(n + 1, 0), in_arcs(num_arcs);
+  for (vidx v = 0; v < n; ++v) in_begin[v + 1] = in_begin[v] + alive_in[v];
+  {
+    std::vector<eidx> next(in_begin.begin(), in_begin.end() - 1);
+    for (u64 e = 0; e < num_arcs; ++e) {
+      in_arcs[next[arcs[e].dst]++] = static_cast<eidx>(e);
+    }
+  }
+
+  // Propagation geometry: block b's threads own arcs [b * span, (b+1) *
+  // span), and a vertex is "homed" in the block holding its first out-arc.
+  const u32 tpb = prop_cfg.threads_per_block;
+  const u64 span = static_cast<u64>(tpb) * opt.edges_per_thread;
+  std::vector<vidx> home_block(n);
+  for (vidx v = 0; v < n; ++v) {
+    home_block[v] = static_cast<vidx>(g.edge_begin(v) / span);
   }
 
   usize remaining = n;
@@ -147,18 +169,11 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
     //    and updates targeting them apply after the launch — concurrent
     //    blocks cannot observe each other mid-launch, so cross-block
     //    propagation costs one grid relaunch per block boundary.
-    std::vector<vidx> home_block(n);
-    {
-      const u64 span = static_cast<u64>(prop_cfg.threads_per_block) *
-                       opt.edges_per_thread;
-      for (vidx v = 0; v < n; ++v) {
-        home_block[v] = static_cast<vidx>(g.edge_begin(v) / span);
-      }
-    }
     std::vector<vidx> vin_snap(n), vout_snap(n);
     u32 inner_n = 0;
     struct Intent {
       vidx* slot;
+      vidx vertex;
       vidx value;
     };
     // Per-block intent buffers and update tallies: block b only ever touches
@@ -168,12 +183,51 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
     // sequential block sweep exactly.
     std::vector<std::vector<Intent>> local_intents(prop_cfg.blocks);
     std::vector<std::vector<Intent>> remote_intents(prop_cfg.blocks);
+    // Dirty-thread bookkeeping (launch_block_jacobi's contract). After a
+    // block's first sweep a thread re-runs only when the previous commit
+    // raised a vertex it reads live: an endpoint, homed in the block, of one
+    // of its alive arcs. Nothing else it reads changes during a launch, so a
+    // clean thread would repeat its last sweep exactly. It would push no
+    // local intent — a thread that pushed one is always dirty next sweep,
+    // since the commit raises that intent's vertex (possibly through an
+    // earlier intent) — and only remote intents the block already buffered.
+    // Once applied, max is monotone, so each such repeat is ineffective:
+    // it is counted, not buffered, and recorded at launch end.
+    const u32 words = (tpb + 63) / 64;
+    std::vector<u64> dirty_bits(static_cast<u64>(prop_cfg.blocks) * words, 0);
+    // Remote intents each thread's last sweep pushed, and their per-block
+    // sums; carried across launches, since every launch's first sweep
+    // refreshes them.
+    std::vector<u32> remote_pushed(prop_cfg.total_threads(), 0);
+    std::vector<u64> block_remote_pushed(prop_cfg.blocks, 0);
+    // Flag the threads of `block` that read vertex `v` (homed in `block`)
+    // through an alive arc: its out-arcs from its CSR row, its in-arcs from
+    // the in-arc index, each clipped to the block's arc range.
+    const auto mark_readers = [&](u32 block, vidx v) {
+      const u64 lo = block * span;
+      const u64 hi = std::min<u64>(lo + span, num_arcs);
+      u64* bits = &dirty_bits[static_cast<u64>(block) * words];
+      const auto mark = [&](u64 e) {
+        if (!alive[e]) return;
+        const u64 t = (e - lo) / opt.edges_per_thread;
+        bits[t / 64] |= u64{1} << (t % 64);
+      };
+      const u64 out_end = std::min<u64>(g.edge_end(v), hi);
+      for (u64 e = g.edge_begin(v); e < out_end; ++e) mark(e);
+      const eidx* in_first = in_arcs.data() + in_begin[v];
+      const eidx* in_end = in_arcs.data() + in_begin[v + 1];
+      for (const eidx* it = std::lower_bound(in_first, in_end, lo);
+           it != in_end && *it < hi; ++it) {
+        mark(*it);
+      }
+    };
     while (true) {
       ++inner_n;
       vin_snap = vin;  // launch-start snapshot (a device-side copy)
       vout_snap = vout;
       std::vector<u64> block_updates(prop_cfg.blocks, 0);
       std::vector<u64> local_updates(prop_cfg.blocks, 0);
+      std::vector<u64> repeats(prop_cfg.blocks, 0);
       dev.launch_block_jacobi(
           "scc_propagate", prop_par_cfg,
           [&](sim::ThreadCtx& ctx, u64 /*inner_iter*/) {
@@ -182,6 +236,16 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
                 static_cast<u64>(ctx.global_id()) * opt.edges_per_thread;
             const u64 end = std::min<u64>(begin + opt.edges_per_thread,
                                           num_arcs);
+            u32 remote = 0;
+            const auto push = [&](vidx* slot, vidx v, vidx value) {
+              ctx.charge_atomics(1);
+              if (home_block[v] == b) {
+                local_intents[b].push_back({slot, v, value});
+              } else {
+                remote_intents[b].push_back({slot, v, value});
+                ++remote;
+              }
+            };
             for (u64 e = begin; e < end; ++e) {
               ctx.charge_coalesced_reads(1);  // alive flag, streaming
               if (!alive[e]) continue;
@@ -194,21 +258,16 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
               // another block's in-flight writes.
               const vidx vout_w = home_block[w] == b ? vout[w] : vout_snap[w];
               const vidx vout_u = home_block[u] == b ? vout[u] : vout_snap[u];
-              if (vout_w > vout_u) {
-                ctx.charge_atomics(1);
-                (home_block[u] == b ? local_intents : remote_intents)[b]
-                    .push_back({&vout[u], vout_w});
-              }
+              if (vout_w > vout_u) push(&vout[u], u, vout_w);
               const vidx vin_u = home_block[u] == b ? vin[u] : vin_snap[u];
               const vidx vin_w = home_block[w] == b ? vin[w] : vin_snap[w];
-              if (vin_u > vin_w) {
-                ctx.charge_atomics(1);
-                (home_block[w] == b ? local_intents : remote_intents)[b]
-                    .push_back({&vin[w], vin_u});
-              }
+              if (vin_u > vin_w) push(&vin[w], w, vin_u);
             }
+            block_remote_pushed[b] += remote;
+            block_remote_pushed[b] -= remote_pushed[ctx.global_id()];
+            remote_pushed[ctx.global_id()] = remote;
           },
-          [&](u32 block, u64 /*inner_iter*/) {
+          [&](u32 block, u64 /*inner_iter*/, std::vector<u32>& dirty) {
             bool any = false;
             for (const Intent& intent : local_intents[block]) {
               // Resolve the buffered atomicMax; classify its outcome for
@@ -222,13 +281,29 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
                 local_updates[block]++;
                 dev.record_block_atomic(block,
                                         sim::AtomicOutcome::kMaxEffective);
+                mark_readers(block, intent.vertex);
               } else {
                 dev.record_block_atomic(block,
                                         sim::AtomicOutcome::kMaxIneffective);
               }
             }
             local_intents[block].clear();
-            return any;
+            if (!any) return false;
+            // Name the flagged threads in ascending order; the others'
+            // remote intents repeat in the next sweep.
+            u64* bits = &dirty_bits[static_cast<u64>(block) * words];
+            const u32 first = block * tpb;
+            u64 dirty_remote = 0;
+            for (u32 w = 0; w < words; ++w) {
+              for (u64 word = std::exchange(bits[w], 0); word != 0;
+                   word &= word - 1) {
+                const u32 t = w * 64 + static_cast<u32>(std::countr_zero(word));
+                dirty.push_back(t);
+                dirty_remote += remote_pushed[first + t];
+              }
+            }
+            repeats[block] += block_remote_pushed[block] - dirty_remote;
+            return true;
           });
       // Cross-block updates become visible only now, at launch end; applying
       // them block by block reproduces the order a sequential sweep with one
@@ -246,6 +321,8 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
           }
         }
         remote_intents[b].clear();
+        dev.atomic_stats().record(sim::AtomicOutcome::kMaxIneffective,
+                                  repeats[b]);
       }
       if (opt.record_series) {
         res.series.record(m, inner_n, std::move(block_updates));

@@ -34,6 +34,8 @@ enum class AtomicOutcome : u8 {
 class AtomicStats {
  public:
   void record(AtomicOutcome o) { counts_[static_cast<usize>(o)]++; }
+  /// Record `n` operations with the same outcome.
+  void record(AtomicOutcome o, u64 n) { counts_[static_cast<usize>(o)] += n; }
   u64 count(AtomicOutcome o) const { return counts_[static_cast<usize>(o)]; }
   void reset() { counts_.fill(0); }
   /// Fold another tally into this one (per-block shard merges).

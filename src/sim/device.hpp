@@ -16,11 +16,14 @@
 //                              timing-dependent execution of ECL-MIS whose
 //                              run-to-run variation the paper's Table 3
 //                              studies;
-//      - launch_block_iterative(): each block repeats a thread-step sweep
-//                              followed by a block-wide vote until no thread
-//                              in the block updated — the __syncthreads
-//                              do-while structure of ECL-SCC's propagation
-//                              kernel (paper Figure 1);
+//      - launch_block_jacobi(): each block repeats a thread-step sweep,
+//                              a block-wide sync and a commit of the
+//                              sweep's buffered writes until the commit
+//                              changes nothing — the __syncthreads do-while
+//                              structure of ECL-SCC's propagation kernel
+//                              (paper Figure 1). After the first sweep only
+//                              the threads the kernel names as dirty run;
+//                              the rest replay their last sweep's charge;
 //  * a cycle cost model charged as threads execute (cost_model.hpp).
 //
 // Dispatch: the launch entry points are templates on the kernel body type,
@@ -83,7 +86,7 @@ struct KernelStats {
   LaunchConfig config;
   KernelCost cost;
   u64 cooperative_rounds = 0;             ///< launch_cooperative only
-  std::vector<u64> block_inner_iterations;  ///< launch_block_iterative only
+  std::vector<u64> block_inner_iterations;  ///< launch_block_jacobi only
 };
 
 enum class ScheduleMode : u8 {
@@ -402,71 +405,27 @@ class Device {
     return ks;
   }
 
-  /// Block-synchronous do-while kernel (ECL-SCC's propagation): each block
-  /// repeats { every thread runs `step`; block-wide sync } while any thread
-  /// in the block reported an update. Returns per-block inner iteration
-  /// counts. `step(ctx, inner_iter)` returns "did this thread update".
-  /// Updates become visible immediately (Gauss-Seidel within the sweep).
-  template <typename Step>
-  KernelStats launch_block_iterative(const std::string& name, LaunchConfig cfg,
-                                     Step&& step, u64 max_inner = 1u << 22) {
-    static_assert(
-        std::is_invocable_r_v<bool, Step&, ThreadCtx&, u64>,
-        "block-iterative step must be callable as bool step(ThreadCtx&, u64)");
-    ECLP_CHECK(cfg.blocks > 0 && cfg.threads_per_block > 0);
-    begin_observation();
-    const u64 atomics_before = atomics_.total();
-    work_.assign(cfg.total_threads(), 0);
-    prepare_caches(cfg.blocks);
-
-    std::vector<u64> block_iters(cfg.blocks, 0);
-    std::vector<u64> block_sync(cfg.blocks, 0);
-    const auto run_block = [&](u32 b, AtomicStats* shard) {
-      bool block_updated = true;
-      u64 inner = 0;
-      while (block_updated) {
-        ECLP_CHECK_MSG(inner < max_inner,
-                       "block-iterative kernel '" << name << "' block " << b
-                                                  << " exceeded " << max_inner
-                                                  << " inner iterations");
-        ++inner;
-        block_updated = false;
-        for (u32 t = 0; t < cfg.threads_per_block; ++t) {
-          ThreadCtx ctx = make_ctx(cfg, b, t, shard);
-          block_updated |= step(ctx, inner);
-          ctx.flush_cost();
-        }
-        // Block-wide synchronization: every resident thread participates,
-        // active or not — this is the overhead the paper's §6.2.1 tunes
-        // away.
-        block_sync[b] +=
-            static_cast<u64>(cfg.threads_per_block) * cost_.sync_per_thread;
-      }
-      block_iters[b] = inner;
-    };
-    if (cfg.block_independent) {
-      run_blocks(cfg, [&](u32 b, AtomicStats& shard) { run_block(b, &shard); });
-    } else {
-      for (u32 b = 0; b < cfg.blocks; ++b) run_block(b, nullptr);
-    }
-
-    KernelStats ks;
-    ks.name = name;
-    ks.config = cfg;
-    ks.block_inner_iterations = std::move(block_iters);
-    ks.cost = finalize_cost(cfg, work_, block_sync);
-    record_trace(ks, atomics_before);
-    return ks;
-  }
-
-  /// Like launch_block_iterative, but with *sweep-snapshot* visibility: the
-  /// kernel's `step` only reads committed state and buffers its writes;
-  /// `commit(block, inner_iter)` applies them after the block-wide sync and
-  /// returns whether anything changed (false ends the block's loop). This
-  /// models warp-parallel execution, where a value chain advances about one
-  /// hop per sweep regardless of thread ids — a serialized sweep would let
-  /// chains aligned with the serialization order collapse in one sweep and
-  /// chains against it crawl, an artifact of the simulator, not the machine.
+  /// Block-synchronous do-while kernel with *sweep-snapshot* visibility
+  /// (ECL-SCC's propagation, paper Figure 1): each block repeats { a sweep
+  /// of `step(ctx, inner_iter)` over its threads; block-wide sync;
+  /// `commit(block, inner_iter, dirty)` } while commit returns true. The
+  /// step only reads committed state and buffers its writes; commit applies
+  /// them and returns whether anything changed. This models warp-parallel
+  /// execution, where a value chain advances about one hop per sweep
+  /// regardless of thread ids — a serialized sweep would let chains aligned
+  /// with the serialization order collapse in one sweep and chains against
+  /// it crawl, an artifact of the simulator, not the machine.
+  ///
+  /// Dirty-thread contract. Every thread runs in a block's first sweep.
+  /// After that, commit names in `dirty` (cleared before each call) the
+  /// block-local threads whose inputs its writes changed, in ascending
+  /// order without repeats; only those run in the next sweep. Every other
+  /// thread is charged what its last sweep charged, as if it had run again.
+  /// The kernel guarantees that this replay is exact: a clean thread's
+  /// sweep would charge the same cycles and buffer nothing commit has not
+  /// already accounted for. Its only device-visible effect is its charge,
+  /// so a step issues no instrumented atomics and no classified accesses
+  /// (it charges them); hardened builds check both, and the dirty list.
   template <typename Step, typename Commit>
   KernelStats launch_block_jacobi(const std::string& name, LaunchConfig cfg,
                                   Step&& step, Commit&& commit,
@@ -474,18 +433,38 @@ class Device {
     static_assert(
         std::is_invocable_v<Step&, ThreadCtx&, u64>,
         "block-jacobi step must be callable as step(ThreadCtx&, u64)");
-    static_assert(
-        std::is_invocable_r_v<bool, Commit&, u32, u64>,
-        "block-jacobi commit must be callable as bool commit(u32 block, u64)");
+    static_assert(std::is_invocable_r_v<bool, Commit&, u32, u64,
+                                        std::vector<u32>&>,
+                  "block-jacobi commit must be callable as "
+                  "bool commit(u32 block, u64, std::vector<u32>& dirty)");
     ECLP_CHECK(cfg.blocks > 0 && cfg.threads_per_block > 0);
+    ECLP_CHECK(max_inner <= ~u32{0});  // sweep indices fit last_sweep_
     begin_observation();
     const u64 atomics_before = atomics_.total();
     work_.assign(cfg.total_threads(), 0);
+    sweep_work_.assign(cfg.total_threads(), 0);
+    last_sweep_.assign(cfg.total_threads(), 0);
     prepare_caches(cfg.blocks);
 
     std::vector<u64> block_iters(cfg.blocks, 0);
     std::vector<u64> block_sync(cfg.blocks, 0);
     const auto run_block = [&](u32 b, AtomicStats* shard) {
+      // One context per block, re-pointed at each thread it runs.
+      ThreadCtx ctx = make_ctx(cfg, b, 0, shard);
+      const u32 base = b * cfg.threads_per_block;
+      // A thread's work_ slot lags by the sweeps replayed since it last
+      // ran; each run (and the block's end) charges them at once.
+      const auto run_thread_sweep = [&](u32 t, u64 inner) {
+        point_ctx(ctx, t);
+        step(ctx, inner);
+        const u32 gid = base + t;
+        work_[gid] +=
+            sweep_work_[gid] * (inner - 1 - last_sweep_[gid]) + ctx.pending_;
+        sweep_work_[gid] = ctx.pending_;
+        last_sweep_[gid] = static_cast<u32>(inner);
+        ctx.pending_ = 0;
+      };
+      std::vector<u32> dirty;
       bool block_updated = true;
       u64 inner = 0;
       while (block_updated) {
@@ -494,17 +473,39 @@ class Device {
                                                << " exceeded " << max_inner
                                                << " inner iterations");
         ++inner;
-        for (u32 t = 0; t < cfg.threads_per_block; ++t) {
-          ThreadCtx ctx = make_ctx(cfg, b, t, shard);
-          step(ctx, inner);
-          ctx.flush_cost();
+        const u64 effects_before = step_effects(ctx);
+        if (inner == 1) {
+          for (u32 t = 0; t < cfg.threads_per_block; ++t) {
+            run_thread_sweep(t, inner);
+          }
+        } else {
+          for (usize i = 0; i < dirty.size(); ++i) {
+            ECLP_ASSERT_MSG(dirty[i] < cfg.threads_per_block &&
+                                (i == 0 || dirty[i - 1] < dirty[i]),
+                            "block-jacobi kernel '"
+                                << name << "' block " << b
+                                << ": dirty threads must be ascending, "
+                                   "unique and below threads_per_block");
+            run_thread_sweep(dirty[i], inner);
+          }
         }
+        ECLP_ASSERT_MSG(step_effects(ctx) == effects_before,
+                        "block-jacobi kernel '"
+                            << name << "': a step issued an instrumented "
+                                       "atomic or classified access");
+        // Block-wide synchronization: every resident thread participates,
+        // active or not — this is the overhead the paper's §6.2.1 tunes
+        // away.
         block_sync[b] +=
             static_cast<u64>(cfg.threads_per_block) * cost_.sync_per_thread;
         // The commit callback records its resolved-intent outcomes through
         // record_block_atomic(b, ...), which lands in this block's shard
         // during a block-independent launch.
-        block_updated = commit(b, inner);
+        dirty.clear();
+        block_updated = commit(b, inner, dirty);
+      }
+      for (u32 gid = base; gid < base + cfg.threads_per_block; ++gid) {
+        work_[gid] += sweep_work_[gid] * (inner - last_sweep_[gid]);
       }
       block_iters[b] = inner;
     };
@@ -625,12 +626,25 @@ class Device {
     ctx.cache_ = cost_.cache.enabled ? &block_caches_[block] : nullptr;
     ctx.buffers_ = &buffers_;
     ctx.block_ = block;
-    ctx.thread_ = thread;
-    ctx.global_ = block * cfg.threads_per_block + thread;
-    ctx.work_slot_ = &work_[ctx.global_];
     ctx.block_dim_ = cfg.threads_per_block;
     ctx.grid_dim_ = cfg.blocks;
+    point_ctx(ctx, thread);
     return ctx;
+  }
+
+  /// Re-point a context at another thread of its block.
+  void point_ctx(ThreadCtx& ctx, u32 thread) {
+    ctx.thread_ = thread;
+    ctx.global_ = ctx.block_ * ctx.block_dim_ + thread;
+    ctx.work_slot_ = &work_[ctx.global_];
+  }
+
+  /// Instrumented atomics plus classified accesses seen through `ctx` so
+  /// far: a launch_block_jacobi step must leave this unchanged.
+  static u64 step_effects(const ThreadCtx& ctx) {
+    u64 n = ctx.stats_->total();
+    if (ctx.cache_ != nullptr) n += ctx.cache_->hits() + ctx.cache_->misses();
+    return n;
   }
 
   /// Run one thread's body and flush its batched cost tally.
@@ -697,6 +711,10 @@ class Device {
   // Work accumulator of the launch currently executing; capacity is reused
   // across launches (assign, not reconstruct).
   std::vector<u64> work_;
+  // launch_block_jacobi replay table: per thread, the charge of its last
+  // executed sweep and that sweep's index.
+  std::vector<u64> sweep_work_;
+  std::vector<u32> last_sweep_;
   // Per-block modeled-LLC slices (empty while the cache is disabled).
   // Each block of a launch touches only its own slice (alignas(64) keeps
   // them on distinct cache lines), so block-parallel execution is race-free

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "profile/timeline.hpp"
 #include "sim/device.hpp"
@@ -217,48 +219,213 @@ TEST(Cooperative, ShuffledModeStillCompletes) {
   for (const int s : steps) EXPECT_EQ(s, 3);
 }
 
-// --- block-iterative launch ---------------------------------------------------------
+// --- block-jacobi launch -------------------------------------------------------------
 
 TEST(BlockIterative, RunsUntilBlockFixpoint) {
   Device dev;
-  // Each block propagates a token along its 8 threads; thread t updates when
-  // its left neighbor holds a value bigger than its own.
+  // Each block propagates a token along its 8 threads; thread t buffers an
+  // update when its left neighbor holds a value bigger than its own, and
+  // the commit names thread t+1 (the next reader) dirty.
   LaunchConfig cfg{2, 8};
   std::vector<u32> val(16, 0);
   val[0] = 5;
   val[8] = 7;
-  const auto ks = dev.launch_block_iterative(
-      "prop", cfg, [&](ThreadCtx& ctx, u64) {
+  std::vector<std::vector<std::pair<u32, u32>>> pending(cfg.blocks);
+  std::vector<u32> runs(cfg.blocks, 0);
+  const auto ks = dev.launch_block_jacobi(
+      "prop", cfg,
+      [&](ThreadCtx& ctx, u64) {
         const u32 i = ctx.global_id();
-        if (ctx.thread_idx() == 0) return false;
-        if (val[i - 1] > val[i]) {
-          val[i] = val[i - 1];
-          return true;
+        runs[ctx.block_idx()]++;
+        if (ctx.thread_idx() > 0 && val[i - 1] > val[i]) {
+          pending[ctx.block_idx()].push_back({i, val[i - 1]});
         }
-        return false;
+      },
+      [&](u32 b, u64, std::vector<u32>& dirty) {
+        const bool any = !pending[b].empty();
+        for (const auto& [i, v] : pending[b]) {
+          val[i] = v;
+          if (i % 8 + 1 < 8) dirty.push_back(i % 8 + 1);
+        }
+        pending[b].clear();
+        return any;
       });
   for (u32 i = 0; i < 8; ++i) EXPECT_EQ(val[i], 5u);
   for (u32 i = 8; i < 16; ++i) EXPECT_EQ(val[i], 7u);
   ASSERT_EQ(ks.block_inner_iterations.size(), 2u);
-  // Ascending sweep propagates in one pass; one more confirms fixpoint.
-  EXPECT_EQ(ks.block_inner_iterations[0], 2u);
-  EXPECT_EQ(ks.block_inner_iterations[1], 2u);
+  // Snapshot sweeps move the token one hop each: 7 hops, then one sweep
+  // that confirms the fixpoint.
+  EXPECT_EQ(ks.block_inner_iterations[0], 8u);
+  EXPECT_EQ(ks.block_inner_iterations[1], 8u);
+  // Sweep 1 runs all 8 threads, sweeps 2..7 only the one dirty thread, and
+  // the confirming sweep none.
+  EXPECT_EQ(runs[0], 14u);
+  EXPECT_EQ(runs[1], 14u);
 }
 
 TEST(BlockIterative, SyncCostGrowsWithBlockSize) {
   CostModel cm;
   Device small_dev(cm), large_dev(cm);
-  const auto kernel = [](ThreadCtx&, u64 inner) { return inner < 4; };
-  const auto a = small_dev.launch_block_iterative("s", {1, 64}, kernel);
-  const auto b = large_dev.launch_block_iterative("l", {1, 1024}, kernel);
+  const auto step = [](ThreadCtx&, u64) {};
+  const auto commit = [](u32, u64 inner, std::vector<u32>&) {
+    return inner < 4;
+  };
+  const auto a = small_dev.launch_block_jacobi("s", {1, 64}, step, commit);
+  const auto b = large_dev.launch_block_jacobi("l", {1, 1024}, step, commit);
   EXPECT_GT(b.cost.sync_cost, a.cost.sync_cost);
 }
 
 TEST(BlockIterative, RunawayInnerLoopIsCaught) {
   Device dev;
-  EXPECT_THROW(dev.launch_block_iterative(
-                   "spin", {1, 4}, [](ThreadCtx&, u64) { return true; },
+  EXPECT_THROW(dev.launch_block_jacobi(
+                   "spin", {1, 4}, [](ThreadCtx&, u64) {},
+                   [](u32, u64, std::vector<u32>&) { return true; },
                    /*max_inner=*/50),
+               CheckFailure);
+}
+
+TEST(BlockIterative, PerBlockIterationCountsIndependent) {
+  Device dev;
+  // Block 0 stops after its first sweep commits nothing; block 1 commits
+  // through sweep 4 and confirms on sweep 5.
+  const auto ks = dev.launch_block_jacobi(
+      "t", {2, 4}, [](ThreadCtx&, u64) {},
+      [](u32 b, u64 inner, std::vector<u32>&) {
+        return b != 0 && inner < 5;
+      });
+  EXPECT_EQ(ks.block_inner_iterations[0], 1u);
+  EXPECT_EQ(ks.block_inner_iterations[1], 5u);
+}
+
+/// Outcome of the synthetic Jacobi kernel below.
+struct JacobiRun {
+  KernelStats stats;
+  AtomicStats atomics;
+  std::vector<u32> values;
+  u64 thread_runs = 0;
+};
+
+/// Synthetic Jacobi kernel: every block is a chain of its threads' values.
+/// Thread t reads values t-1, t and t+1 of its block, charges a cost that
+/// depends on them, and pushes its value to a smaller neighbour as an
+/// atomicMax intent. The commit resolves the intents (two can meet on one
+/// slot, so some are ineffective) and names the threads to re-run: every
+/// thread when `all_dirty`, otherwise only the readers of a raised slot.
+/// A clean thread pushed nothing last sweep (its target would have been
+/// raised, making it a reader) and its inputs are unchanged, so both
+/// variants must produce identical numbers.
+JacobiRun run_chain_kernel(bool all_dirty) {
+  constexpr u32 kBlocks = 3, kThreads = 70;
+  Device dev;
+  std::vector<u32> val(kBlocks * kThreads);
+  Rng rng(77);
+  for (u32& v : val) v = static_cast<u32>(rng.below(1000));
+  struct Intent {
+    u32 slot;
+    u32 value;
+  };
+  std::vector<std::vector<Intent>> pending(kBlocks);
+  std::vector<u64> runs(kBlocks, 0);
+  JacobiRun out;
+  LaunchConfig cfg{kBlocks, kThreads};
+  cfg.block_independent = true;
+  out.stats = dev.launch_block_jacobi(
+      "chain", cfg,
+      [&](ThreadCtx& ctx, u64) {
+        const u32 b = ctx.block_idx(), t = ctx.thread_idx();
+        const u32 i = ctx.global_id();
+        runs[b]++;
+        ctx.charge_reads(3);
+        ctx.charge_alu(val[i] % 7);
+        for (const u32 nt : {t - 1, t + 1}) {
+          if (nt >= kThreads) continue;  // t - 1 wraps for t == 0
+          const u32 j = b * kThreads + nt;
+          if (val[i] > val[j]) {
+            ctx.charge_atomics(1);
+            pending[b].push_back({j, val[i]});
+          }
+        }
+      },
+      [&](u32 b, u64, std::vector<u32>& dirty) {
+        std::vector<u8> flag(kThreads, 0);
+        bool any = false;
+        for (const Intent& in : pending[b]) {
+          if (in.value > val[in.slot]) {
+            val[in.slot] = in.value;
+            any = true;
+            dev.record_block_atomic(b, AtomicOutcome::kMaxEffective);
+            const u32 t = in.slot - b * kThreads;
+            for (const u32 r : {t - 1, t, t + 1}) {
+              if (r < kThreads) flag[r] = 1;
+            }
+          } else {
+            dev.record_block_atomic(b, AtomicOutcome::kMaxIneffective);
+          }
+        }
+        pending[b].clear();
+        for (u32 t = 0; t < kThreads; ++t) {
+          if (all_dirty || flag[t]) dirty.push_back(t);
+        }
+        return any;
+      });
+  out.atomics = dev.atomic_stats();
+  out.values = std::move(val);
+  for (const u64 r : runs) out.thread_runs += r;
+  return out;
+}
+
+TEST(BlockJacobi, MinimalDirtySetMatchesRerunningEveryThread) {
+  const JacobiRun all = run_chain_kernel(true);
+  const JacobiRun minimal = run_chain_kernel(false);
+  // The replay must actually have skipped work for this to mean anything.
+  EXPECT_LT(minimal.thread_runs, all.thread_runs);
+  EXPECT_GT(all.atomics.count(AtomicOutcome::kMaxIneffective), 0u);
+  EXPECT_EQ(minimal.values, all.values);
+  EXPECT_EQ(minimal.stats.block_inner_iterations,
+            all.stats.block_inner_iterations);
+  const KernelCost& a = all.stats.cost;
+  const KernelCost& m = minimal.stats.cost;
+  EXPECT_EQ(m.modeled_cycles, a.modeled_cycles);
+  EXPECT_EQ(m.thread_work, a.thread_work);
+  EXPECT_EQ(m.max_thread_work, a.max_thread_work);
+  EXPECT_EQ(m.active_threads, a.active_threads);
+  EXPECT_EQ(m.idle_threads, a.idle_threads);
+  EXPECT_EQ(m.block_time, a.block_time);
+  EXPECT_EQ(m.max_block_time, a.max_block_time);
+  EXPECT_EQ(m.sync_cost, a.sync_cost);
+  for (usize o = 0; o < static_cast<usize>(AtomicOutcome::kCount_); ++o) {
+    const auto outcome = static_cast<AtomicOutcome>(o);
+    EXPECT_EQ(minimal.atomics.count(outcome), all.atomics.count(outcome)) << o;
+  }
+}
+
+/// Launch a one-block Jacobi kernel whose first commit names `dirty`.
+void launch_with_dirty_list(std::vector<u32> names) {
+  Device dev;
+  dev.launch_block_jacobi(
+      "bad", {1, 8}, [](ThreadCtx& ctx, u64) { ctx.charge_alu(1); },
+      [&](u32, u64 inner, std::vector<u32>& dirty) {
+        dirty = names;
+        return inner == 1;
+      });
+}
+
+TEST(BlockJacobi, MalformedDirtyListsFailInHardenedBuilds) {
+  if (!ECLP_HARDENED) GTEST_SKIP() << "dirty lists are checked when hardened";
+  EXPECT_NO_THROW(launch_with_dirty_list({0, 3, 7}));
+  EXPECT_THROW(launch_with_dirty_list({3, 1}), CheckFailure);  // unsorted
+  EXPECT_THROW(launch_with_dirty_list({2, 2}), CheckFailure);  // repeated
+  EXPECT_THROW(launch_with_dirty_list({1, 8}), CheckFailure);  // t >= 8
+}
+
+TEST(BlockJacobi, StepWithInstrumentedAtomicFailsInHardenedBuilds) {
+  if (!ECLP_HARDENED) GTEST_SKIP() << "step effects are checked when hardened";
+  Device dev;
+  u32 x = 0;
+  EXPECT_THROW(dev.launch_block_jacobi(
+                   "atomic", {1, 4},
+                   [&](ThreadCtx& ctx, u64) { ctx.atomic_max(x, 1u); },
+                   [](u32, u64, std::vector<u32>&) { return false; }),
                CheckFailure);
 }
 
@@ -299,19 +466,6 @@ TEST(Cost, AllIdleImbalanceIsExactlyOne) {
   kc.thread_work = 0;
   kc.max_thread_work = 0;
   EXPECT_EQ(kc.imbalance(), 1.0);
-}
-
-TEST(BlockIterative, PerBlockIterationCountsIndependent) {
-  Device dev;
-  // Block 0 stops after its first sweep reports no update; block 1 updates
-  // through sweep 4 and confirms on sweep 5.
-  const auto ks = dev.launch_block_iterative(
-      "t", {2, 4}, [&](ThreadCtx& ctx, u64 inner) {
-        if (ctx.block_idx() == 0) return false;
-        return inner < 5;
-      });
-  EXPECT_EQ(ks.block_inner_iterations[0], 1u);
-  EXPECT_EQ(ks.block_inner_iterations[1], 5u);
 }
 
 }  // namespace
