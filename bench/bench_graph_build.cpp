@@ -177,12 +177,11 @@ int main(int argc, char** argv) {
       set_build_threads(fan_threads);
       Pool* pool = build_pool();
       ECLP_CHECK(pool != nullptr);
-      pool->reset_worker_samples();
-      pool->set_sampling(true);
+      ECLP_CHECK(pool->claim_sampling());
       graph::Csr n_g;
       const double n_ms = median_ms(
           ctx.runs, [&] { n_g = graph::from_edges(n, edges, opt); });
-      pool->set_sampling(false);
+      pool->release_sampling();
 
       const bool identical = bytes_of(one_g) == bytes_of(n_g);
       t.add_row({name, std::to_string(edges.size()),

@@ -56,10 +56,8 @@ Session::Session(sim::Device& dev, CounterRegistry* registry, Options options)
       atomics_at_start_(dev.atomic_stats()) {
   prev_observer_ = dev_.launch_observer();
   dev_.set_launch_observer(this);
-  if (Pool* pool = dev_.pool(); pool != nullptr) {
-    prev_pool_sampling_ = pool->sampling();
-    pool->reset_worker_samples();
-    pool->set_sampling(true);
+  if (Pool* pool = dev_.pool(); pool != nullptr && pool->claim_sampling()) {
+    sampled_pool_ = pool;
   }
   prev_current_ = tl_current_session;
   tl_current_session = this;
@@ -69,9 +67,6 @@ Session::~Session() {
   finalize();
   // Detach before writing so artifact I/O can never re-enter on_launch.
   if (dev_.launch_observer() == this) dev_.set_launch_observer(prev_observer_);
-  if (Pool* pool = dev_.pool(); pool != nullptr) {
-    pool->set_sampling(prev_pool_sampling_);
-  }
   if (tl_current_session == this) tl_current_session = prev_current_;
   if (!output_path_.empty()) write(output_path_);
 }
@@ -212,8 +207,10 @@ void Session::finalize() {
   final_llc_hits_ = dev_.llc_hits();
   final_llc_misses_ = dev_.llc_misses();
   atomics_at_end_ = dev_.atomic_stats();
-  if (Pool* pool = dev_.pool(); pool != nullptr) {
-    workers_ = pool->worker_samples();
+  if (sampled_pool_ != nullptr) {
+    workers_ = sampled_pool_->worker_samples();
+    sampled_pool_->release_sampling();
+    sampled_pool_ = nullptr;
   }
   finalized_ = true;
 }

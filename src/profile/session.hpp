@@ -12,7 +12,8 @@
 // launch count, and — when a CounterRegistry is attached — every registry
 // counter, so "which phase spent what" needs no manual bookkeeping. The
 // host pool contributes per-worker wall-clock/utilization samples, putting
-// modeled time and real simulator time side by side.
+// modeled time and real simulator time side by side; one session at a time
+// claims a pool's sampling, and the others record no worker samples.
 //
 // A Session is the device's only launch recorder: its kernel spans also
 // feed the per-kernel timeline views in profile/timeline.hpp (eclp-run
@@ -119,9 +120,9 @@ class Session : public sim::LaunchObserver {
   // --- spans ----------------------------------------------------------------
   u32 open_span(std::string name, SpanKind kind);
   void close_span(u32 id);
-  /// Close any spans still open (in LIFO order) and snapshot pool worker
-  /// samples. Idempotent; called automatically by the exporters and the
-  /// destructor.
+  /// Close any spans still open (in LIFO order), snapshot pool worker
+  /// samples and release the pool's sampling claim. Idempotent; called
+  /// automatically by the exporters and the destructor.
   void finalize();
 
   // --- metadata ---------------------------------------------------------------
@@ -145,6 +146,9 @@ class Session : public sim::LaunchObserver {
   /// Device launch count when the session attached; the first kernel span
   /// recorded is launch start_launches() + 1.
   u64 start_launches() const { return start_launches_; }
+  /// Per-worker samples of the device's pool over the session. Empty when
+  /// the device has no pool, or when another session (concurrent on a
+  /// device sharing the pool, or an outer one) held its sampling claim.
   std::span<const Pool::WorkerSample> worker_samples() const {
     return workers_;
   }
@@ -209,7 +213,9 @@ class Session : public sim::LaunchObserver {
   std::string output_path_;
   sim::LaunchObserver* prev_observer_ = nullptr;
   Session* prev_current_ = nullptr;
-  bool prev_pool_sampling_ = false;  ///< restored on detach
+  /// The pool whose sampling this session claimed until finalize(); null
+  /// when the device has no pool or another session holds the claim.
+  Pool* sampled_pool_ = nullptr;
 };
 
 /// Zero-plumbing RAII span annotation: attaches to Session::current() and

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "profile/counters.hpp"
+#include "profile/session.hpp"
 #include "sim/device.hpp"
 #include "sim/pool.hpp"
 #include "support/pool.hpp"
@@ -135,6 +137,53 @@ TEST(Pool, ConcurrentRunsFromOtherThreadsEachRunEveryTaskOnce) {
       EXPECT_EQ(seen[c][t].load(), 50u) << "caller " << c << " task " << t;
     }
   }
+}
+
+TEST(PoolSampling, OverlappingSessionsOnASharedPoolClaimItOnce) {
+  // Two served requests profile at once on devices that share one pool.
+  // Exactly one session claims the pool's worker sampling; the other
+  // records no worker samples. Neither resets nor reads the samples while
+  // the other device has a pooled launch in flight (TSan checks that).
+  Pool pool(4);
+  std::barrier sync(2);
+  std::vector<std::vector<Pool::WorkerSample>> samples(2);
+  const auto launches = [](sim::Device& dev) {
+    sim::LaunchConfig cfg{64, 32};
+    cfg.block_independent = true;
+    for (int i = 0; i < 20; ++i) {
+      dev.launch("k", cfg, [](sim::ThreadCtx& ctx) { ctx.charge_alu(1); });
+    }
+  };
+  std::vector<std::thread> requests;
+  for (u32 r = 0; r < 2; ++r) {
+    requests.emplace_back([&, r] {
+      sim::Device dev;
+      dev.set_pool(&pool);
+      {
+        profile::Session session(dev);
+        sync.arrive_and_wait();  // both sessions are open
+        launches(dev);
+        sync.arrive_and_wait();
+        launches(dev);  // overlaps the other session's finalize
+        session.finalize();
+        const auto s = session.worker_samples();
+        samples[r].assign(s.begin(), s.end());
+      }
+      launches(dev);  // overlaps the other session's finalize
+    });
+  }
+  for (auto& t : requests) t.join();
+  EXPECT_NE(samples[0].empty(), samples[1].empty());
+  EXPECT_EQ(samples[0].size() + samples[1].size(), 4u);
+  // Finalizing released the claim, so the next session gets it.
+  EXPECT_FALSE(pool.sampling());
+  sim::Device dev;
+  dev.set_pool(&pool);
+  profile::Session next(dev);
+  EXPECT_TRUE(pool.sampling());
+  next.finalize();
+  EXPECT_EQ(next.worker_samples().size(), 4u);
+  EXPECT_FALSE(pool.sampling());
 }
 
 TEST(Pool, SimThreadsConfigRoundTrips) {
