@@ -9,6 +9,7 @@
 
 #include "graph/cache.hpp"
 #include "sim/pool.hpp"
+#include "support/json.hpp"
 #include "support/parallel_for.hpp"
 #include "support/stats.hpp"
 
@@ -16,43 +17,18 @@ namespace eclp::harness {
 
 namespace {
 
-/// Minimal JSON string escaping (quotes, backslash, control characters).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Render a table cell as a JSON value: cells that are numbers under the
-/// table formatters (thousands separators stripped) come back out as
-/// numbers, everything else as a string.
+/// Render a table cell as a JSON value: a cell whose text, thousands
+/// separators stripped, is an RFC 8259 number token comes back out as a
+/// number, everything else (signed deltas, "nan", units) as a string.
 std::string json_cell(const std::string& cell) {
   std::string stripped;
   for (const char c : cell) {
     if (c != ',') stripped += c;
   }
-  if (!stripped.empty()) {
-    char* end = nullptr;
-    std::strtod(stripped.c_str(), &end);
-    if (end != nullptr && *end == '\0') return stripped;
+  if (json::is_number_token(stripped)) {
+    return json::format_number(std::strtod(stripped.c_str(), nullptr));
   }
-  return '"' + json_escape(cell) + '"';
+  return '"' + json::escape(cell) + '"';
 }
 
 const char* compiler() {
@@ -74,9 +50,9 @@ void write_json(const BenchContext& ctx) {
     std::cerr << "warning: cannot write " << ctx.json_path << '\n';
     return;
   }
-  os << "{\n  \"bench\": \"" << json_escape(ctx.bench_name) << "\",\n"
+  os << "{\n  \"bench\": \"" << json::escape(ctx.bench_name) << "\",\n"
      << "  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
-     << ", \"compiler\": \"" << json_escape(compiler()) << '"'
+     << ", \"compiler\": \"" << json::escape(compiler()) << '"'
      << ", \"build_type\": \"" << ECLP_BUILD_TYPE << '"'
      << ", \"eclp_hardened\": " << (ECLP_HARDENED != 0 ? "true" : "false")
      << ", \"sim_threads\": " << sim::sim_threads()
@@ -88,14 +64,14 @@ void write_json(const BenchContext& ctx) {
   for (const auto& [id, table] : ctx.json_tables) {
     os << (first_table ? "\n" : ",\n");
     first_table = false;
-    os << "    {\n      \"id\": \"" << json_escape(id) << "\",\n"
-       << "      \"title\": \"" << json_escape(table.title()) << "\",\n"
+    os << "    {\n      \"id\": \"" << json::escape(id) << "\",\n"
+       << "      \"title\": \"" << json::escape(table.title()) << "\",\n"
        << "      \"rows\": [";
     for (usize r = 0; r < table.rows(); ++r) {
       os << (r == 0 ? "\n" : ",\n") << "        {";
       const auto& row = table.row(r);
       for (usize c = 0; c < table.cols(); ++c) {
-        os << (c == 0 ? "" : ", ") << '"' << json_escape(table.header()[c])
+        os << (c == 0 ? "" : ", ") << '"' << json::escape(table.header()[c])
            << "\": " << json_cell(row[c]);
       }
       os << '}';

@@ -1,8 +1,9 @@
 #include "profile/diff.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
+
+#include "support/table.hpp"
 
 namespace eclp::profile {
 
@@ -40,6 +41,53 @@ std::map<std::string, const json::Value*> kernels_by_name(
   return out;
 }
 
+/// Flatten a validated profile into gated rows. `other` is the document it
+/// is compared against; it only decides which kernels get an llc_misses row.
+std::vector<DiffRow> profile_rows(const json::Value& doc,
+                                  const json::Value& other,
+                                  const DiffOptions& options) {
+  const double cycle_tol = options.cycle_tolerance_pct;
+  const double count_tol = options.counter_tolerance_pct;
+  std::vector<DiffRow> rows;
+  const json::Value& totals = doc.at("totals");
+  rows.push_back({"totals/modeled_cycles",
+                  totals.at("modeled_cycles").as_number(), cycle_tol});
+  rows.push_back({"totals/launches", totals.at("launches").as_number(),
+                  count_tol});
+  rows.push_back({"totals/atomics", totals.at("atomics").as_number(),
+                  count_tol});
+
+  const auto other_kernels = kernels_by_name(other);
+  for (const auto& [name, k] : kernels_by_name(doc)) {
+    const std::string prefix = "kernel/" + name + "/";
+    rows.push_back({prefix + "modeled_cycles",
+                    k->at("modeled_cycles").as_number(), cycle_tol});
+    rows.push_back({prefix + "launches", k->at("launches").as_number(),
+                    count_tol});
+    rows.push_back({prefix + "atomics", k->at("atomics").as_number(),
+                    count_tol});
+    // Modeled-LLC misses are optional (emitted only when the cache
+    // classified something); gate them whenever either side recorded any,
+    // treating the absent side as zero. Hits are not gated per kernel.
+    const json::Value* misses = k->find("llc_misses");
+    const auto peer = other_kernels.find(name);
+    if (misses != nullptr || (peer != other_kernels.end() &&
+                              peer->second->find("llc_misses") != nullptr)) {
+      rows.push_back({prefix + "llc_misses",
+                      misses == nullptr ? 0.0 : misses->as_number(),
+                      count_tol});
+    }
+  }
+
+  for (const auto& [name, value] : doc.at("counters").members()) {
+    // llc.hits is informational: hit growth usually means *better*
+    // locality, and llc.misses carries the regression gate.
+    rows.push_back({"counter/" + name, value.as_number(),
+                    name == "llc.hits" ? kInformational : count_tol});
+  }
+  return rows;
+}
+
 }  // namespace
 
 const char* diff_status_name(DiffStatus status) {
@@ -66,9 +114,12 @@ std::string DiffReport::to_string(bool all) const {
   char line[256];
   for (const DiffEntry& e : entries) {
     if (!all && e.status == DiffStatus::kOk) continue;
-    std::snprintf(line, sizeof(line), "%-10s %-48s %14.0f -> %14.0f (%+.2f%%)\n",
+    const std::string delta = e.base == 0.0 && e.cand != 0.0
+                                  ? "from 0"
+                                  : fmt::signed_pct(e.delta_pct) + "%";
+    std::snprintf(line, sizeof(line), "%-10s %-48s %14.0f -> %14.0f (%s)\n",
                   diff_status_name(e.status), e.metric.c_str(), e.base, e.cand,
-                  e.delta_pct);
+                  delta.c_str());
     out += line;
   }
   const u32 n = regressions();
@@ -152,113 +203,54 @@ void validate_profile(const json::Value& doc) {
   }
 }
 
+DiffReport diff_rows(const std::vector<DiffRow>& base,
+                     const std::vector<DiffRow>& cand) {
+  const auto index = [](const std::vector<DiffRow>& rows, const char* side) {
+    std::map<std::string, const DiffRow*> out;
+    for (const DiffRow& r : rows) {
+      ECLP_CHECK_MSG(out.emplace(r.key, &r).second,
+                     "diff: " << side << " repeats row '" << r.key << "'");
+    }
+    return out;
+  };
+  const auto base_rows = index(base, "base");
+  const auto cand_rows = index(cand, "candidate");
+
+  DiffReport report;
+  for (const DiffRow& b : base) {
+    const auto it = cand_rows.find(b.key);
+    if (it == cand_rows.end()) {
+      report.entries.push_back(
+          {b.key, b.value, 0.0, 0.0, DiffStatus::kRemoved});
+      continue;
+    }
+    const DiffRow& c = *it->second;
+    DiffEntry e{b.key, b.value, c.value, 0.0, DiffStatus::kOk};
+    if (b.value != 0.0) e.delta_pct = (c.value - b.value) / b.value * 100.0;
+    if (c.value > b.value) {
+      const bool within = b.value == 0.0
+                              ? c.tolerance_pct == kInformational
+                              : e.delta_pct <= c.tolerance_pct;
+      if (!within) e.status = DiffStatus::kRegressed;
+    } else if (c.value < b.value) {
+      e.status = DiffStatus::kImproved;
+    }
+    report.entries.push_back(std::move(e));
+  }
+  for (const DiffRow& c : cand) {
+    if (base_rows.count(c.key) == 0) {
+      report.entries.push_back({c.key, 0.0, c.value, 0.0, DiffStatus::kAdded});
+    }
+  }
+  return report;
+}
+
 DiffReport diff_profiles(const json::Value& base, const json::Value& cand,
                          const DiffOptions& options) {
   validate_profile(base);
   validate_profile(cand);
-  DiffReport report;
-
-  const auto compare = [&](std::string metric, double b, double c,
-                           double tolerance_pct) {
-    DiffEntry e;
-    e.metric = std::move(metric);
-    e.base = b;
-    e.cand = c;
-    e.delta_pct = b == 0.0 ? 0.0 : (c - b) / b * 100.0;
-    if (c > b) {
-      // Growth from zero has no meaningful percentage; any growth beyond
-      // an absolute zero baseline regresses unless the tolerance is
-      // explicitly non-zero (which then admits everything from zero —
-      // documented behavior of percentage gates).
-      const bool within =
-          b == 0.0 ? tolerance_pct > 0.0 : e.delta_pct <= tolerance_pct;
-      e.status = within ? DiffStatus::kOk : DiffStatus::kRegressed;
-    } else if (c < b) {
-      e.status = DiffStatus::kImproved;
-    } else {
-      e.status = DiffStatus::kOk;
-    }
-    report.entries.push_back(std::move(e));
-  };
-
-  const json::Value& bt = base.at("totals");
-  const json::Value& ct = cand.at("totals");
-  compare("totals/modeled_cycles", bt.at("modeled_cycles").as_number(),
-          ct.at("modeled_cycles").as_number(), options.cycle_tolerance_pct);
-  compare("totals/launches", bt.at("launches").as_number(),
-          ct.at("launches").as_number(), options.counter_tolerance_pct);
-  compare("totals/atomics", bt.at("atomics").as_number(),
-          ct.at("atomics").as_number(), options.counter_tolerance_pct);
-
-  const auto base_kernels = kernels_by_name(base);
-  const auto cand_kernels = kernels_by_name(cand);
-  for (const auto& [name, bk] : base_kernels) {
-    const auto it = cand_kernels.find(name);
-    if (it == cand_kernels.end()) {
-      report.entries.push_back({"kernel/" + name,
-                                bk->at("modeled_cycles").as_number(), 0.0, 0.0,
-                                DiffStatus::kRemoved});
-      continue;
-    }
-    const json::Value& ck = *it->second;
-    compare("kernel/" + name + "/modeled_cycles",
-            bk->at("modeled_cycles").as_number(),
-            ck.at("modeled_cycles").as_number(), options.cycle_tolerance_pct);
-    compare("kernel/" + name + "/launches", bk->at("launches").as_number(),
-            ck.at("launches").as_number(), options.counter_tolerance_pct);
-    compare("kernel/" + name + "/atomics", bk->at("atomics").as_number(),
-            ck.at("atomics").as_number(), options.counter_tolerance_pct);
-    // Modeled-LLC misses are optional (emitted only when the cache
-    // classified something); gate them whenever either side recorded any,
-    // treating the absent side as zero. Hits are informational — more hits
-    // are not a regression — so only misses are gated per kernel.
-    const json::Value* bm = bk->find("llc_misses");
-    const json::Value* cm = ck.find("llc_misses");
-    if (bm != nullptr || cm != nullptr) {
-      compare("kernel/" + name + "/llc_misses",
-              bm == nullptr ? 0.0 : bm->as_number(),
-              cm == nullptr ? 0.0 : cm->as_number(),
-              options.counter_tolerance_pct);
-    }
-  }
-  for (const auto& [name, ck] : cand_kernels) {
-    if (base_kernels.count(name) == 0) {
-      report.entries.push_back({"kernel/" + name, 0.0,
-                                ck->at("modeled_cycles").as_number(), 0.0,
-                                DiffStatus::kAdded});
-    }
-  }
-
-  // Counters: union of both documents' names, name-ordered.
-  std::map<std::string, std::pair<const json::Value*, const json::Value*>>
-      counter_union;
-  for (const auto& [name, value] : base.at("counters").members()) {
-    counter_union[name].first = &value;
-  }
-  for (const auto& [name, value] : cand.at("counters").members()) {
-    counter_union[name].second = &value;
-  }
-  for (const auto& [name, sides] : counter_union) {
-    if (sides.first == nullptr) {
-      report.entries.push_back({"counter/" + name, 0.0,
-                                sides.second->as_number(), 0.0,
-                                DiffStatus::kAdded});
-    } else if (sides.second == nullptr) {
-      report.entries.push_back({"counter/" + name, sides.first->as_number(),
-                                0.0, 0.0, DiffStatus::kRemoved});
-    } else {
-      // llc.hits is informational: hit growth usually means *better*
-      // locality (llc.misses carries the regression gate), so it gets an
-      // effectively unlimited tolerance but still shows in the report.
-      const double tolerance = name == "llc.hits"
-                                   ? 1e18
-                                   : options.counter_tolerance_pct;
-      compare("counter/" + name, sides.first->as_number(),
-              sides.second->as_number(), tolerance);
-    }
-  }
-
-  return report;
+  return diff_rows(profile_rows(base, cand, options),
+                   profile_rows(cand, base, options));
 }
 
 }  // namespace eclp::profile

@@ -1,24 +1,19 @@
-// Run-to-run regression gating over eclp.profile documents.
+// Run-to-run regression gating: one comparison rule over flattened rows.
 //
-// eclp_profile_diff (tools/) compares a candidate profile against a
-// baseline per-kernel and per-counter, with configurable tolerances, and
-// exits non-zero on regression. The comparison itself lives here as a
-// library so tests can gate without spawning processes.
+// Each document kind flattens itself into rows of (key, value, tolerance);
+// diff_rows pairs them by key and gives each pair one verdict. Growth beyond
+// the row's tolerance (percent of the base) regresses, and growth from a
+// zero base regresses at any finite tolerance. Decreases are improvements
+// and keys on only one side are added / removed; neither ever fails the
+// gate (renames should not — their cost shows up in the totals).
 //
-// What is gated (all purely modeled, so bit-stable across machines and
-// sim-thread counts — wall_ns and workers are deliberately ignored):
-//  * totals.modeled_cycles and per-kernel modeled_cycles, against
-//    cycle_tolerance_pct;
-//  * totals.atomics, per-kernel atomics, and every entry of "counters",
-//    against counter_tolerance_pct (default 0: counters are deterministic,
-//    any growth is a real behavior change);
-//  * kernels/counters present only on one side are reported as added /
-//    removed — informational, never a regression by themselves (renames
-//    and phase restructuring should not fail the gate; their cost shows
-//    up in the totals).
-// Decreases are reported as improvements and never fail the gate.
+// Profiles flatten here (diff_profiles, front end eclp-profile-diff) into
+// purely modeled rows — cycles, launches, atomics, LLC misses, counters —
+// so they are bit-stable across machines and sim-thread counts; wall_ns and
+// workers are never rows. Metrics snapshots flatten in serve::diff_metrics.
 #pragma once
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -59,12 +54,31 @@ struct DiffReport {
   std::string to_string(bool all = false) const;
 };
 
+/// One comparable metric of a document. `tolerance_pct` is the allowed
+/// growth in percent; kInformational reports the row without gating it.
+struct DiffRow {
+  std::string key;
+  double value = 0.0;
+  double tolerance_pct = 0.0;
+};
+inline constexpr double kInformational =
+    std::numeric_limits<double>::infinity();
+
+/// The comparison rule (see the file comment). Pairs the rows by key; the
+/// report lists base rows in order, then the candidate-only rows. A key
+/// repeated within one side throws CheckFailure. A paired row takes the
+/// candidate's tolerance.
+DiffReport diff_rows(const std::vector<DiffRow>& base,
+                     const std::vector<DiffRow>& cand);
+
 /// Structural validation of an eclp.profile document: schema tag, version,
 /// required sections and their field types. Throws CheckFailure with a
 /// field-path message on the first violation.
 void validate_profile(const json::Value& doc);
 
 /// Compare candidate against baseline. Both documents are validated first.
+/// A kernel's llc_misses row exists on both sides when either side
+/// recorded misses for it, the absent side reading as zero.
 DiffReport diff_profiles(const json::Value& base, const json::Value& cand,
                          const DiffOptions& options = {});
 

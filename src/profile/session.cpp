@@ -31,6 +31,15 @@ constexpr OutcomeName kOutcomes[] = {
     {sim::AtomicOutcome::kAdd, "atomics.add"},
 };
 
+/// Per-block Perfetto tracks are emitted for kernel launches with at most
+/// this many blocks; huge grids would drown the UI.
+constexpr u32 kMaxBlockTracks = 64;
+
+bool has_block_tracks(const Span& s) {
+  return s.kind == SpanKind::kKernel && !s.block_cycles.empty() &&
+         s.blocks <= kMaxBlockTracks;
+}
+
 }  // namespace
 
 const char* span_kind_name(SpanKind kind) {
@@ -269,13 +278,8 @@ std::string Session::perfetto_json() {
   // Per-block tracks: tid 100 + block, one track set shared by all launches
   // small enough to qualify. Name only the tracks actually used.
   u32 block_tracks = 0;
-  if (options_.max_block_tracks > 0) {
-    for (const Span& s : spans_) {
-      if (s.kind == SpanKind::kKernel && !s.block_cycles.empty() &&
-          s.blocks <= options_.max_block_tracks) {
-        block_tracks = std::max(block_tracks, s.blocks);
-      }
-    }
+  for (const Span& s : spans_) {
+    if (has_block_tracks(s)) block_tracks = std::max(block_tracks, s.blocks);
   }
   for (u32 b = 0; b < block_tracks; ++b) {
     meta_event("thread_name", 100 + b, "block " + std::to_string(b));
@@ -337,8 +341,7 @@ std::string Session::perfetto_json() {
       push_llc_sample("llc.hits", ts, llc_hits_running);
       push_llc_sample("llc.misses", ts, llc_misses_running);
     }
-    if (s.kind == SpanKind::kKernel && !s.block_cycles.empty() &&
-        options_.max_block_tracks > 0 && s.blocks <= options_.max_block_tracks) {
+    if (has_block_tracks(s)) {
       for (u32 b = 0; b < s.block_cycles.size(); ++b) {
         json::Value e = json::Value::object();
         e.set("ph", "X");

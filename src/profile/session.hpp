@@ -90,9 +90,6 @@ struct Span {
 };
 
 struct SessionOptions {
-  /// Per-block Perfetto tracks are emitted for launches with at most
-  /// this many blocks (huge grids would drown the UI); 0 disables them.
-  u32 max_block_tracks = 64;
   /// Include wall-clock fields in profile_json(). On by default; tests
   /// that pin artifacts byte-for-byte turn it off.
   bool record_wall = true;

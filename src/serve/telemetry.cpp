@@ -278,4 +278,27 @@ void validate_metrics_snapshot(const json::Value& doc) {
   }
 }
 
+profile::DiffReport diff_metrics(const json::Value& base,
+                                 const json::Value& cand, double counter_tol,
+                                 double latency_tol) {
+  validate_metrics_snapshot(base);
+  validate_metrics_snapshot(cand);
+  const auto rows = [&](const json::Value& snap) {
+    std::vector<profile::DiffRow> out;
+    for (const char* name :
+         {"serve.failed", "serve.rejected", "pool.misses", "pool.evictions"}) {
+      const json::Value* v = snap.at("counters").find(name);
+      out.push_back({std::string("counter/") + name,
+                     v == nullptr ? 0.0 : static_cast<double>(v->as_u64()),
+                     counter_tol});
+    }
+    for (const auto& [name, h] : snap.at("histograms").members()) {
+      out.push_back({"histogram/" + name + "/p99", h.at("p99").as_number(),
+                     latency_tol});
+    }
+    return out;
+  };
+  return profile::diff_rows(rows(base), rows(cand));
+}
+
 }  // namespace eclp::serve

@@ -40,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "profile/diff.hpp"
 #include "support/json.hpp"
 #include "support/metrics.hpp"
 #include "support/types.hpp"
@@ -148,5 +149,15 @@ class Telemetry {
 /// a field-level message on schema violations (used by eclp-metrics
 /// --check and the metrics-smoke tier).
 void validate_metrics_snapshot(const json::Value& doc);
+
+/// Gate a candidate snapshot against a base one with profile::diff_rows.
+/// The gated rows are the metrics whose growth means the serving layer got
+/// worse, not just busier: the serve.failed, serve.rejected, pool.misses
+/// and pool.evictions counters against `counter_tol` (a counter missing
+/// from a snapshot reads as 0), and every histogram's p99 against
+/// `latency_tol`. Both snapshots are validated first.
+profile::DiffReport diff_metrics(const json::Value& base,
+                                 const json::Value& cand, double counter_tol,
+                                 double latency_tol);
 
 }  // namespace eclp::serve

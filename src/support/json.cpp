@@ -1,6 +1,5 @@
 #include "support/json.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +18,34 @@ const char* kind_name(Value::Kind k) {
     case Value::Kind::kObject: return "object";
   }
   return "?";
+}
+
+/// End of the RFC 8259 number token starting at s[i] (an optional '-', an
+/// integer part without leading zeros, optional fraction and exponent), or
+/// i when none starts there.
+usize scan_number(const std::string& s, usize i) {
+  const usize start = i;
+  const auto digits = [&] {
+    const usize from = i;
+    while (i < s.size() && s[i] >= '0' && s[i] <= '9') ++i;
+    return i > from;
+  };
+  if (i < s.size() && s[i] == '-') ++i;
+  if (i < s.size() && s[i] == '0') {
+    ++i;  // a leading zero is the whole integer part
+  } else if (!digits()) {
+    return start;
+  }
+  if (i < s.size() && s[i] == '.') {
+    ++i;
+    if (!digits()) return start;
+  }
+  if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
+    ++i;
+    if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
+    if (!digits()) return start;
+  }
+  return i;
 }
 
 /// Recursive-descent parser over the whole input string.
@@ -160,18 +187,12 @@ class Parser {
 
   Value parse_number() {
     const usize start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double d = std::strtod(token.c_str(), &end);
-    ECLP_CHECK_MSG(end != token.c_str() && *end == '\0',
-                   "JSON: bad number '" << token << "' at offset " << start);
+    pos_ = scan_number(text_, pos_);
+    ECLP_CHECK_MSG(pos_ > start, "JSON: bad number at offset " << start);
+    const double d =
+        std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
+    ECLP_CHECK_MSG(std::isfinite(d),
+                   "JSON: number out of range at offset " << start);
     return Value(d);
   }
 
@@ -224,6 +245,10 @@ std::string escape(const std::string& s) {
     }
   }
   return out;
+}
+
+bool is_number_token(const std::string& s) {
+  return !s.empty() && scan_number(s, 0) == s.size();
 }
 
 std::string format_number(double d) {

@@ -3,15 +3,17 @@
 // The observability layer both *writes* JSON (profile artifacts, Perfetto
 // traces) and *reads* it back (eclp_profile_diff compares two profile
 // files; tests validate emitted artifacts), so the repo needs a real
-// parser, not just the write-only escaping the bench harness uses. This is
-// a deliberately small recursive-descent implementation of RFC 8259:
+// parser, not just a writer. This is a deliberately small recursive-descent
+// implementation of RFC 8259:
 //  * numbers are stored as double (53-bit integer precision — far beyond
 //    any modeled-cycle count the suite produces) and serialized without a
 //    decimal point when integral, so u64 counters round-trip textually;
 //  * objects preserve insertion order and serialization is fully
 //    deterministic, which is what makes golden-file tests of emitted
 //    artifacts byte-stable;
-//  * errors throw CheckFailure with an offset-annotated message.
+//  * errors throw CheckFailure with an offset-annotated message; numbers
+//    follow the RFC grammar exactly (no leading '+' or leading zeros) and
+//    must fit a double.
 #pragma once
 
 #include <map>
@@ -123,6 +125,10 @@ class Value {
 
 /// JSON string escaping (quotes, backslash, control characters).
 std::string escape(const std::string& s);
+
+/// True when `s` is exactly one RFC 8259 number token: an optional '-', an
+/// integer part without leading zeros, then optional fraction and exponent.
+bool is_number_token(const std::string& s);
 
 /// Format a double the way the writer does: integral values without a
 /// decimal point, everything else with up to 17 significant digits.

@@ -54,6 +54,24 @@ TEST(Json, ParseErrorsThrow) {
   EXPECT_THROW(Value::parse("1 2"), CheckFailure);  // trailing garbage
 }
 
+TEST(Json, NumbersFollowTheRfcGrammar) {
+  EXPECT_EQ(Value::parse("0").as_number(), 0.0);
+  EXPECT_EQ(Value::parse("-0.5").as_number(), -0.5);
+  EXPECT_EQ(Value::parse("10").as_number(), 10.0);
+  EXPECT_EQ(Value::parse("1E+2").as_number(), 100.0);
+  EXPECT_EQ(Value::parse("[0,1]").items().size(), 2u);
+  for (const char* bad : {"+3.33", "01", "-01", "00", "+1", ".5", "1.", "-",
+                          "1e", "1e+", "-.5", "1e999"}) {
+    EXPECT_THROW(Value::parse(bad), CheckFailure) << bad;
+  }
+  EXPECT_TRUE(is_number_token("1234"));
+  EXPECT_TRUE(is_number_token("-0.25e-3"));
+  for (const char* bad : {"", "+3.33", "01", "nan", "inf", "0x1f", "12 ms",
+                          " 1", "1 "}) {
+    EXPECT_FALSE(is_number_token(bad)) << bad;
+  }
+}
+
 TEST(Json, RoundTripPreservesDocument) {
   const std::string text =
       R"({"schema":"eclp.profile","version":1,"spans":[{"id":0,"cycles":8890}]})";

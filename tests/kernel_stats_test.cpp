@@ -5,9 +5,12 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
 
 #include "harness/harness.hpp"
 #include "sim/device.hpp"
+#include "support/json.hpp"
 
 namespace eclp {
 namespace {
@@ -90,6 +93,30 @@ TEST(Harness, EmitWritesCsvCopy) {
   std::getline(is, line);
   EXPECT_EQ(line, "a,b");
   std::filesystem::remove_all("/tmp/eclp_harness_emit");
+}
+
+TEST(Harness, JsonCellsAreNumbersOnlyForRfcNumberTokens) {
+  const std::string path = ::testing::TempDir() + "/eclp_harness_cells.json";
+  const std::string json_flag = "--json=" + path;
+  const char* argv[] = {"bench", "--out=/tmp/eclp_harness_cells",
+                        json_flag.c_str()};
+  const auto ctx = harness::parse(3, argv, "test bench");
+  Table t("cells");
+  t.set_header({"delta", "ratio", "count", "wall"});
+  t.add_row({"+3.33", "nan", "1,234", "12 ms"});
+  harness::emit(ctx, "cells", t);
+  std::ifstream is(path);
+  ASSERT_TRUE(is.is_open());
+  std::stringstream text;
+  text << is.rdbuf();
+  const json::Value doc = json::Value::parse(text.str());
+  const json::Value& row = doc.at("tables").items()[0].at("rows").items()[0];
+  EXPECT_EQ(row.at("delta").as_string(), "+3.33");
+  EXPECT_EQ(row.at("ratio").as_string(), "nan");
+  EXPECT_EQ(row.at("count").as_number(), 1234.0);
+  EXPECT_EQ(row.at("wall").as_string(), "12 ms");
+  std::filesystem::remove_all("/tmp/eclp_harness_cells");
+  std::filesystem::remove(path);
 }
 
 TEST(Harness, MakeDeviceAppliesSeedAndMode) {

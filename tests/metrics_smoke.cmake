@@ -12,7 +12,8 @@
 #     failed, pool hits/misses) — the registry and ServerStats are two
 #     views of one serving run;
 #  3. self-diff: eclp-metrics between the run's snapshots and themselves
-#     must report zero regressions and exit 0;
+#     must report zero regressions and exit 0; a copy of the last snapshot
+#     with one more serve.failed must fail the gate with exit 1;
 #  4. tracing: the trace log must contain admitted/started/pool/finished
 #     events for a known request id, and a "cause" on the failing one;
 #  5. slow-request hook: --slow-ms=0 must write one span tree per
@@ -102,6 +103,20 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR
           "self-diff reported regressions (${rc}):\n${out}\n${err}")
+endif()
+
+string(JSON failed GET "${last}" counters serve.failed)
+math(EXPR failed "${failed} + 1")
+string(JSON worse SET "${last}" counters serve.failed ${failed})
+string(REPLACE "\n" "" worse "${worse}")
+file(WRITE "${WORK_DIR}/worse.jsonl" "${worse}\n")
+execute_process(
+  COMMAND "${ECLP_METRICS}" "${WORK_DIR}/metrics.jsonl"
+          "${WORK_DIR}/worse.jsonl"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT out MATCHES "REGRESSED +counter/serve.failed")
+  message(FATAL_ERROR "one more serve.failed must fail the gate with exit "
+          "1, got ${rc}:\n${out}\n${err}")
 endif()
 
 # --- 4. trace events ---------------------------------------------------------

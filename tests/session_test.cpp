@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -247,6 +248,60 @@ TEST(Session, DiffDetectsGrowthAndImprovement) {
   loose.cycle_tolerance_pct = 1000.0;
   loose.counter_tolerance_pct = 1000.0;
   EXPECT_EQ(diff_profiles(base, grown, loose).regressions(), 0u);
+}
+
+TEST(Session, DiffRegressesGrowthFromZeroAtAnyFiniteTolerance) {
+  const json::Value doc = json::Value::parse(run_workload(1).profile);
+  const auto with_counter = [&](const char* name, u64 value) {
+    json::Value out = doc;
+    json::Value counters = out.at("counters");
+    counters.set(name, value);
+    out.set("counters", std::move(counters));
+    return out;
+  };
+  DiffOptions options;
+  options.counter_tolerance_pct = 1.0;
+  // A zero base has no percentage to grow by, so a tolerance cannot admit
+  // the growth.
+  const DiffReport grown =
+      diff_profiles(with_counter("workload.retries", 0),
+                    with_counter("workload.retries", 1000000), options);
+  EXPECT_EQ(grown.regressions(), 1u);
+  for (const DiffEntry& e : grown.entries) {
+    if (e.metric != "counter/workload.retries") continue;
+    EXPECT_EQ(e.status, DiffStatus::kRegressed);
+  }
+  EXPECT_NE(grown.to_string().find("from 0"), std::string::npos);
+  // llc.hits is informational: growth from zero is reported, not gated.
+  const DiffReport hits = diff_profiles(with_counter("llc.hits", 0),
+                                        with_counter("llc.hits", 1000000),
+                                        options);
+  EXPECT_EQ(hits.regressions(), 0u);
+}
+
+TEST(Session, DiffRowsPairByKey) {
+  const std::vector<DiffRow> base = {{"kept", 100, 0},
+                                     {"gone", 5, 0},
+                                     {"shrunk", 10, 0},
+                                     {"info", 1, kInformational}};
+  const std::vector<DiffRow> cand = {{"info", 1000, kInformational},
+                                     {"new", 7, 0},
+                                     {"shrunk", 4, 0},
+                                     {"kept", 101, 0}};
+  const DiffReport report = diff_rows(base, cand);
+  ASSERT_EQ(report.entries.size(), 5u);
+  // Base rows in base order, then the candidate-only rows.
+  EXPECT_EQ(report.entries[0].metric, "kept");
+  EXPECT_EQ(report.entries[0].status, DiffStatus::kRegressed);
+  EXPECT_DOUBLE_EQ(report.entries[0].delta_pct, 1.0);
+  EXPECT_EQ(report.entries[1].status, DiffStatus::kRemoved);
+  EXPECT_EQ(report.entries[2].status, DiffStatus::kImproved);
+  EXPECT_EQ(report.entries[3].status, DiffStatus::kOk);
+  EXPECT_EQ(report.entries[4].metric, "new");
+  EXPECT_EQ(report.entries[4].status, DiffStatus::kAdded);
+  EXPECT_EQ(report.regressions(), 1u);
+  // A key repeated within one side is malformed input.
+  EXPECT_THROW(diff_rows({{"a", 1, 0}, {"a", 2, 0}}, {}), CheckFailure);
 }
 
 TEST(Session, ValidateRejectsMalformedDocuments) {

@@ -1,10 +1,11 @@
 // Tests for the serving-layer telemetry (src/serve/telemetry.*) and its
 // integration into the Server: the trace log's admission-order grouping,
 // the eclp.metrics snapshot/Prometheus renderings, schema validation, the
-// slow-request auto-profiling hook, and the load-bearing determinism
-// claim — under an injectable zero clock, the telemetry snapshot, the
-// Prometheus exposition, and the full trace log are byte-identical across
-// serving thread counts (pinned by tests/golden/telemetry_*).
+// snapshot regression gate (diff_metrics), the slow-request
+// auto-profiling hook, and the load-bearing determinism claim — under an
+// injectable zero clock, the telemetry snapshot, the Prometheus
+// exposition, and the full trace log are byte-identical across serving
+// thread counts (pinned by tests/golden/telemetry_*).
 //
 // Lives in eclp_parallel_tests so `ctest -L tsan` race-checks the sharded
 // instruments and the trace log under real serving concurrency.
@@ -16,6 +17,7 @@
 #include <future>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/server.hpp"
@@ -146,6 +148,112 @@ TEST(Telemetry, ValidateRejectsWrongSchema) {
   doc.set("schema", "something.else");
   doc.set("version", u64{1});
   EXPECT_THROW(serve::validate_metrics_snapshot(doc), CheckFailure);
+}
+
+// --- diff_metrics ------------------------------------------------------------
+
+/// A minimal valid snapshot: the given counters, and one empty histogram
+/// per p99 entry with every quantile set to that value.
+json::Value snapshot_with(
+    const std::vector<std::pair<std::string, u64>>& counters,
+    const std::vector<std::pair<std::string, u64>>& p99s = {}) {
+  json::Value doc = json::Value::object();
+  doc.set("schema", "eclp.metrics");
+  doc.set("version", u64{1});
+  doc.set("seq", u64{0});
+  doc.set("ts_ns", u64{0});
+  json::Value c = json::Value::object();
+  for (const auto& [name, value] : counters) c.set(name, value);
+  doc.set("counters", std::move(c));
+  doc.set("gauges", json::Value::object());
+  json::Value hists = json::Value::object();
+  for (const auto& [name, p99] : p99s) {
+    json::Value h = json::Value::object();
+    h.set("count", u64{0});
+    h.set("sum", u64{0});
+    for (const char* q : {"p50", "p90", "p99"}) h.set(q, p99);
+    h.set("buckets", json::Value::array());
+    hists.set(name, std::move(h));
+  }
+  doc.set("histograms", std::move(hists));
+  return doc;
+}
+
+const profile::DiffEntry& entry(const profile::DiffReport& report,
+                                const std::string& metric) {
+  for (const profile::DiffEntry& e : report.entries) {
+    if (e.metric == metric) return e;
+  }
+  ADD_FAILURE() << "no entry " << metric;
+  static const profile::DiffEntry none;
+  return none;
+}
+
+// eclp-metrics' defaults: --counter-tol=0, --latency-tol=10.
+constexpr double kCounterTol = 0.0;
+constexpr double kLatencyTol = 10.0;
+
+TEST(MetricsDiff, FailedCounterGrowingFromZeroRegresses) {
+  const auto report =
+      serve::diff_metrics(snapshot_with({{"serve.failed", 0}}),
+                          snapshot_with({{"serve.failed", 1}}), kCounterTol,
+                          kLatencyTol);
+  EXPECT_EQ(report.regressions(), 1u);
+  EXPECT_EQ(entry(report, "counter/serve.failed").status,
+            profile::DiffStatus::kRegressed);
+  // A generous tolerance does not admit growth from zero either.
+  EXPECT_EQ(serve::diff_metrics(snapshot_with({{"serve.failed", 0}}),
+                                snapshot_with({{"serve.failed", 1}}), 1000.0,
+                                kLatencyTol)
+                .regressions(),
+            1u);
+}
+
+TEST(MetricsDiff, MissingCounterCountsAsZero) {
+  const auto report = serve::diff_metrics(
+      snapshot_with({}),
+      snapshot_with({{"serve.rejected", 2}, {"serve.completed", 50}}),
+      kCounterTol, kLatencyTol);
+  EXPECT_EQ(report.regressions(), 1u);
+  const profile::DiffEntry& rejected = entry(report, "counter/serve.rejected");
+  EXPECT_EQ(rejected.base, 0.0);
+  EXPECT_EQ(rejected.cand, 2.0);
+  EXPECT_EQ(rejected.status, profile::DiffStatus::kRegressed);
+  // Absent on both sides is a clean 0 -> 0, and throughput-shaped counters
+  // are not rows at all.
+  EXPECT_EQ(entry(report, "counter/serve.failed").status,
+            profile::DiffStatus::kOk);
+  for (const profile::DiffEntry& e : report.entries) {
+    EXPECT_EQ(e.metric.find("serve.completed"), std::string::npos);
+  }
+}
+
+TEST(MetricsDiff, P99GatesAtTheLatencyTolerance) {
+  const auto base = snapshot_with({}, {{"serve.latency_us.cc", 1000}});
+  const auto within = serve::diff_metrics(
+      base, snapshot_with({}, {{"serve.latency_us.cc", 1050}}), kCounterTol,
+      kLatencyTol);
+  EXPECT_EQ(within.regressions(), 0u);
+  EXPECT_EQ(entry(within, "histogram/serve.latency_us.cc/p99").status,
+            profile::DiffStatus::kOk);
+  const auto beyond = serve::diff_metrics(
+      base, snapshot_with({}, {{"serve.latency_us.cc", 1200}}), kCounterTol,
+      kLatencyTol);
+  EXPECT_EQ(beyond.regressions(), 1u);
+  EXPECT_EQ(entry(beyond, "histogram/serve.latency_us.cc/p99").status,
+            profile::DiffStatus::kRegressed);
+}
+
+TEST(MetricsDiff, OneSidedHistogramIsAddedOrRemovedNeverGated) {
+  const auto base = snapshot_with({}, {{"serve.latency_us.cc", 1000}});
+  const auto cand = snapshot_with({}, {{"serve.latency_us.scc", 900000}});
+  const auto report =
+      serve::diff_metrics(base, cand, kCounterTol, kLatencyTol);
+  EXPECT_EQ(report.regressions(), 0u);
+  EXPECT_EQ(entry(report, "histogram/serve.latency_us.cc/p99").status,
+            profile::DiffStatus::kRemoved);
+  EXPECT_EQ(entry(report, "histogram/serve.latency_us.scc/p99").status,
+            profile::DiffStatus::kAdded);
 }
 
 TEST(Telemetry, PrometheusRenderingIsCumulative) {

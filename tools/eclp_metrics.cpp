@@ -8,18 +8,13 @@
 //       compare the last snapshots; exit 1 when the candidate regresses
 //       beyond tolerance (see --counter-tol / --latency-tol)
 //
-// The gated set is deliberately small — the metrics whose growth means the
-// serving layer got *worse*, not just busier: the serve.failed /
-// serve.rejected / pool.misses / pool.evictions counters (relative to
-// serve.submitted where that makes sense would be nicer, but absolute
-// growth with a percent tolerance matches the eclp-profile-diff
-// convention) and every latency histogram's p99. Throughput-shaped
-// counters (submitted, completed, waves, hits) are reported, never gated.
+// The gate is serve::diff_metrics (src/serve/telemetry.hpp): the comparison
+// rule of eclp-profile-diff over the failure-shaped counters and every
+// histogram's p99. Every gated row is printed, in the same listing.
 //
 // Exit codes: 0 ok, 1 regressions found, 2 usage/IO/validation error.
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -87,54 +82,6 @@ void render(const json::Value& snap) {
   if (hists.rows() > 0) std::printf("%s", hists.to_text().c_str());
 }
 
-u64 counter_or_zero(const json::Value& snap, const std::string& name) {
-  const json::Value* v = snap.at("counters").find(name);
-  return v == nullptr ? 0 : v->as_u64();
-}
-
-/// Percent growth of candidate over base; a zero base with a nonzero
-/// candidate is unbounded growth (reported as such, always over tolerance).
-double growth_pct(u64 base, u64 cand) {
-  if (base == 0) return cand == 0 ? 0.0 : 1e9;
-  return 100.0 * (static_cast<double>(cand) - static_cast<double>(base)) /
-         static_cast<double>(base);
-}
-
-int diff(const json::Value& base, const json::Value& cand,
-         double counter_tol, double latency_tol) {
-  usize regressions = 0;
-  const auto gate = [&](const std::string& what, u64 b, u64 c, double tol) {
-    const double pct = growth_pct(b, c);
-    const bool bad = pct > tol;
-    if (bad) regressions++;
-    std::printf("  %-28s %12llu -> %-12llu %s%s\n", what.c_str(),
-                static_cast<unsigned long long>(b),
-                static_cast<unsigned long long>(c),
-                b == 0 && c != 0 ? "new" : fmt::signed_pct(pct).c_str(),
-                bad ? "  REGRESSION" : "");
-  };
-  std::printf("gated counters (tolerance %+.1f%%):\n", counter_tol);
-  for (const char* name :
-       {"serve.failed", "serve.rejected", "pool.misses", "pool.evictions"}) {
-    gate(name, counter_or_zero(base, name), counter_or_zero(cand, name),
-         counter_tol);
-  }
-  std::printf("latency p99 (tolerance %+.1f%%):\n", latency_tol);
-  for (const auto& [name, h] : cand.at("histograms").members()) {
-    const json::Value* bh = base.at("histograms").find(name);
-    if (bh == nullptr) continue;  // new histogram: nothing to regress from
-    gate(name + " p99", bh->at("p99").as_u64(), h.at("p99").as_u64(),
-         latency_tol);
-  }
-  if (regressions == 0) {
-    std::printf("no regressions\n");
-    return 0;
-  }
-  std::printf("%zu regression%s\n", regressions,
-              regressions == 1 ? "" : "s");
-  return 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -176,9 +123,11 @@ int main(int argc, char** argv) {
                    "<cand.jsonl> | --check <metrics.jsonl>\n");
       return 2;
     }
-    return diff(load_snapshots(files[0]).back(),
-                load_snapshots(files[1]).back(),
-                cli.get_double("counter-tol"), cli.get_double("latency-tol"));
+    const profile::DiffReport report = serve::diff_metrics(
+        load_snapshots(files[0]).back(), load_snapshots(files[1]).back(),
+        cli.get_double("counter-tol"), cli.get_double("latency-tol"));
+    std::printf("%s", report.to_string(true).c_str());
+    return report.regressions() == 0 ? 0 : 1;
   } catch (const CheckFailure& e) {
     std::fprintf(stderr, "eclp-metrics: %s\n", e.what());
     return 2;
