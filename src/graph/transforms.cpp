@@ -99,15 +99,6 @@ Csr relabel(const Csr& g, std::span<const vidx> perm) {
   return assemble_as_is(b, g);
 }
 
-std::vector<vidx> degree_descending_order(const Csr& g) {
-  std::vector<vidx> order(g.num_vertices());
-  for (vidx v = 0; v < g.num_vertices(); ++v) order[v] = v;
-  std::stable_sort(order.begin(), order.end(), [&](vidx a, vidx b) {
-    return g.degree(a) != g.degree(b) ? g.degree(a) > g.degree(b) : a < b;
-  });
-  return order;
-}
-
 Csr induced_subgraph(const Csr& g, std::span<const vidx> keep) {
   std::vector<vidx> new_id(g.num_vertices(), kNoVertex);
   for (usize i = 0; i < keep.size(); ++i) {

@@ -22,10 +22,6 @@ Csr remove_self_loops(const Csr& g);
 /// permutation of [0, n). Adjacency lists are re-sorted.
 Csr relabel(const Csr& g, std::span<const vidx> perm);
 
-/// Permutation that sorts vertices by descending degree (ties by id).
-/// Used to build LDF-style orderings.
-std::vector<vidx> degree_descending_order(const Csr& g);
-
 /// Induced subgraph on `keep` (ids are compacted in `keep` order).
 Csr induced_subgraph(const Csr& g, std::span<const vidx> keep);
 

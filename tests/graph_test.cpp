@@ -5,6 +5,7 @@
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
 #include "graph/properties.hpp"
+#include "graph/reorder.hpp"
 #include "graph/transforms.hpp"
 
 namespace eclp::graph {
@@ -178,8 +179,8 @@ TEST(Transforms, RelabelRejectsNonPermutation) {
 TEST(Transforms, DegreeDescendingOrder) {
   // Star: center 0 has degree 3.
   const auto g = from_edges(4, {{0, 1, 0}, {0, 2, 0}, {0, 3, 0}});
-  const auto order = degree_descending_order(g);
-  EXPECT_EQ(order[0], 0u);
+  const auto perm = order_by_degree_desc(g);
+  EXPECT_EQ(perm[0], 0u);  // the centre gets rank 0
 }
 
 TEST(Transforms, InducedSubgraphOfTriangle) {

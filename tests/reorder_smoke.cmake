@@ -12,7 +12,9 @@
 #     zero regressions (reordering is memoized + deterministic, so two runs
 #     of the same spec are bit-identical);
 #  4. one LLC-enabled run (--llc=on) whose artifact must also pass the
-#     schema check — covers the optional llc fields in the profile format.
+#     schema check — covers the optional llc fields in the profile format;
+#  5. two --reorder=gorder runs and a self-diff that must report zero
+#     regressions — Gorder is deterministic too.
 foreach(var ECLP_RUN ECLP_PROFILE_DIFF ALGO INPUT WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "reorder_smoke.cmake needs -D${var}=...")
@@ -24,6 +26,8 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 set(profile_a "${WORK_DIR}/a.json")
 set(profile_b "${WORK_DIR}/b.json")
 set(profile_llc "${WORK_DIR}/llc.json")
+set(profile_gorder_a "${WORK_DIR}/gorder_a.json")
+set(profile_gorder_b "${WORK_DIR}/gorder_b.json")
 
 execute_process(
   COMMAND "${ECLP_RUN}" --algo=${ALGO} --input=${INPUT} --scale=tiny
@@ -73,6 +77,25 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR
           "LLC profile schema validation failed (${rc}):\n${out}\n${err}")
+endif()
+
+foreach(profile "${profile_gorder_a}" "${profile_gorder_b}")
+  execute_process(
+    COMMAND "${ECLP_RUN}" --algo=${ALGO} --input=${INPUT} --scale=tiny
+            --reorder=gorder --verify --profile=${profile}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+            "eclp-run --reorder=gorder failed (${rc}):\n${out}\n${err}")
+  endif()
+endforeach()
+
+execute_process(
+  COMMAND "${ECLP_PROFILE_DIFF}" "${profile_gorder_a}" "${profile_gorder_b}"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR
+          "gorder self-diff reported regressions (${rc}):\n${out}\n${err}")
 endif()
 
 message(STATUS "reorder smoke ${ALGO}/${INPUT}: ok")
