@@ -1,4 +1,15 @@
+// ECL-MST correctness, Figure-2 metrics, and the pinned light/heavy split.
+//
+// Regenerate the split golden after an *intentional* modeling change:
+//   ECLP_UPDATE_GOLDEN=1 ./eclp_tests --gtest_filter='EclMst.SplitPinned'
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "algos/mst/ecl_mst.hpp"
 #include "gen/generators.hpp"
@@ -217,6 +228,79 @@ TEST_P(MstSuiteTest, MatchesKruskalOnSuiteInput) {
 
 INSTANTIATE_TEST_SUITE_P(AllInputs, MstSuiteTest,
                          ::testing::Range<usize>(0, 17));
+
+// --- pinned light/heavy split ------------------------------------------------
+
+/// One line per (graph, schedule, filter percentile): every modeled number
+/// the split threshold reaches. Weights in [1, 4] make the threshold land on
+/// long runs of ties, where an off-by-one rank would move edges between the
+/// light and heavy worklists.
+std::vector<std::string> split_lines() {
+  const std::pair<const char*, graph::Csr> graphs[] = {
+      {"uniform", graph::with_random_weights(
+                      gen::uniform_random(3000, 12000, 41), 41, 4)},
+      {"clique-union", graph::with_random_weights(
+                           gen::clique_union(1500, 700, 2, 9, 27), 27, 4)},
+  };
+  std::vector<std::string> lines;
+  for (const auto& [name, g] : graphs) {
+    for (const u64 seed : {u64{0}, u64{12345}}) {
+      for (const double pct : {0.0, 25.0, 50.0, 90.0, 100.0}) {
+        sim::Device dev(sim::CostModel{}, seed,
+                        seed == 0 ? sim::ScheduleMode::kDeterministic
+                                  : sim::ScheduleMode::kShuffled);
+        Options opt;
+        opt.filter_percentile = pct;
+        opt.record_iteration_metrics = true;
+        const auto res = run(dev, g, opt);
+        u64 regular = 0, filter = 0;
+        for (const auto& it : res.iterations) {
+          (it.kind == "Filter" ? filter : regular)++;
+        }
+        u64 digest = 0xcbf29ce484222325ULL;  // FNV-1a over the in_mst flags
+        for (const u8 f : res.in_mst) digest = (digest ^ f) * 0x100000001b3ULL;
+        std::ostringstream os;
+        os << name << " seed=" << seed << " pct=" << pct
+           << " cycles=" << dev.total_cycles()
+           << " modeled=" << res.modeled_cycles
+           << " launches=" << dev.kernel_launches();
+        for (usize o = 0; o < static_cast<usize>(sim::AtomicOutcome::kCount_);
+             ++o) {
+          os << " atomic" << o << '='
+             << dev.atomic_stats().count(static_cast<sim::AtomicOutcome>(o));
+        }
+        os << " regular=" << regular << " filter=" << filter
+           << " weight=" << res.total_weight << " edges=" << res.mst_edges
+           << " in_mst=" << digest;
+        lines.push_back(os.str());
+      }
+    }
+  }
+  return lines;
+}
+
+TEST(EclMst, SplitPinned) {
+  const std::string path = std::string(ECLP_GOLDEN_DIR) + "/mst_split.txt";
+  const auto lines = split_lines();
+  if (std::getenv("ECLP_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream os(path);
+    ASSERT_TRUE(os) << "cannot write " << path;
+    os << "# Golden ECL-MST runs across filter percentiles on tie-heavy "
+          "weights (1..4).\n"
+          "# Regenerate: ECLP_UPDATE_GOLDEN=1 ./eclp_tests "
+          "--gtest_filter='EclMst.SplitPinned'\n";
+    for (const auto& line : lines) os << line << '\n';
+    GTEST_SKIP() << "golden file regenerated at " << path;
+  }
+  std::ifstream is(path);
+  ASSERT_TRUE(is) << "missing golden file " << path
+                  << " (regenerate with ECLP_UPDATE_GOLDEN=1)";
+  std::vector<std::string> golden;
+  for (std::string line; std::getline(is, line);) {
+    if (!line.empty() && line[0] != '#') golden.push_back(line);
+  }
+  EXPECT_EQ(lines, golden) << "ECL-MST split results drifted from " << path;
+}
 
 }  // namespace
 }  // namespace eclp::algos::mst
