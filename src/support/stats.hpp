@@ -27,11 +27,17 @@ struct Summary {
 Summary summarize(std::span<const u64> xs);
 Summary summarize(std::span<const double> xs);
 
-/// Median of a sample (interpolated for even sizes). Copies and sorts.
+// The order statistics below copy the sample once and select the ranks they
+// need (std::nth_element, then a min/max scan for a neighbouring rank):
+// O(n) average time instead of a sort's O(n log n), with exactly the values
+// a sorted copy would give.
+
+/// Median of a sample (interpolated for even sizes).
 double median(std::span<const double> xs);
 double median(std::span<const u64> xs);
 
-/// p-th percentile in [0,100] via linear interpolation. Copies and sorts.
+/// p-th percentile in [0,100] via linear interpolation between the two
+/// neighbouring ranks.
 double percentile(std::span<const double> xs, double p);
 
 /// Pearson correlation coefficient r between two equally-sized samples.
