@@ -219,13 +219,12 @@ int main(int argc, char** argv) {
     }
   } else if (algo == "mst") {
     const auto g = obtain_graph(cli, algo);
-    algos::mst::Options opt;
-    opt.record_iteration_metrics = true;
-    const auto res = algos::mst::run(dev, g, opt);
-    std::printf("MST: weight %llu over %zu edges, %zu iterations, %llu "
+    const auto res = algos::mst::run(dev, g);
+    std::printf("MST: weight %llu over %zu edges, %llu iterations, %llu "
                 "modeled cycles, %.0f ms wall\n",
                 static_cast<unsigned long long>(res.total_weight),
-                res.mst_edges, res.iterations.size(),
+                res.mst_edges,
+                static_cast<unsigned long long>(res.host_iterations),
                 static_cast<unsigned long long>(res.modeled_cycles),
                 wall.milliseconds());
     if (cli.get_flag("verify")) {
