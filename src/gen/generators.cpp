@@ -10,7 +10,6 @@
 
 namespace eclp::gen {
 
-using graph::BuildOptions;
 using graph::Builder;
 using graph::Csr;
 
@@ -54,19 +53,19 @@ Csr triangulated_grid(u32 side, u64 seed) {
 }
 
 Csr uniform_random(vidx n, u64 edges, u64 seed) {
-  return graph::build_materialized(UniformRandomStream(n, edges, seed));
+  return graph::build_from_chunks(UniformRandomStream(n, edges, seed));
 }
 
 Csr rmat(u32 scale, u64 edges, double a, double b, double c, u64 seed) {
-  return graph::build_materialized(RmatStream(scale, edges, a, b, c, seed));
+  return graph::build_from_chunks(RmatStream(scale, edges, a, b, c, seed));
 }
 
 Csr kronecker(u32 scale, u64 edges, u64 seed) {
-  return graph::build_materialized(RmatStream::kronecker(scale, edges, seed));
+  return graph::build_from_chunks(RmatStream::kronecker(scale, edges, seed));
 }
 
 Csr preferential_attachment(vidx n, u32 m, u64 seed) {
-  return graph::build_materialized(PreferentialAttachmentStream(n, m, seed));
+  return graph::build_from_chunks(PreferentialAttachmentStream(n, m, seed));
 }
 
 Csr internet_topology(vidx n, u64 seed) {

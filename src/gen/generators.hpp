@@ -11,8 +11,9 @@
 //
 // All generators are deterministic functions of their seed. The uniform,
 // R-MAT/Kronecker, and preferential-attachment families are the chunked
-// streams of gen/stream.hpp staged into a CSR, so each family yields the
-// same edge sequence at every scale, scale=huge included.
+// streams of gen/stream.hpp built by graph::build_from_chunks, so each
+// family yields the same edge sequence at every scale, scale=huge
+// included, and never holds its edge list.
 #pragma once
 
 #include "graph/csr.hpp"

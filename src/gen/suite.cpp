@@ -6,7 +6,6 @@
 #include "gen/meshes.hpp"
 #include "gen/stream.hpp"
 #include "graph/cache.hpp"
-#include "graph/stream_build.hpp"
 #include "graph/transforms.hpp"
 #include "support/check.hpp"
 #include "support/prng.hpp"
@@ -55,11 +54,11 @@ u64 seed_for(const char* name) {
   return h;
 }
 
-/// Pick a dimension by scale: tiny/small/default. kHuge never reaches
-/// this — huge-capable entries branch to build_from_chunks first, and
-/// everything else has no huge parameterization to pick.
+/// Pick a dimension by scale. Only the entries whose family is a chunked
+/// stream (InputSpec::huge) pass a `huge` size; on every other entry the
+/// default 0 rejects kHuge.
 template <typename T>
-T by_scale(Scale s, T tiny, T small, T def) {
+T by_scale(Scale s, T tiny, T small, T def, T huge = T{}) {
   switch (s) {
     case Scale::kTiny:
       return tiny;
@@ -68,9 +67,10 @@ T by_scale(Scale s, T tiny, T small, T def) {
     case Scale::kDefault:
       return def;
     case Scale::kHuge:
-      ECLP_CHECK_MSG(false,
+      ECLP_CHECK_MSG(huge != T{},
                      "scale=huge is only available for inputs with a "
                      "streamed generator (InputSpec::huge)");
+      return huge;
   }
   ECLP_CHECK_MSG(false, "invalid scale");
   return def;
@@ -106,21 +106,15 @@ std::vector<InputSpec> make_general() {
                                      seed_for("amazon0601"));
                }});
 
-  // Huge-capable entries: kTiny/kSmall/kDefault stage the family's
-  // chunked stream (gen/stream.hpp) through the generator function, while
-  // kHuge hands the same stream at ~10^8 arcs straight to
-  // build_from_chunks, so the edge list never materializes.
+  // Huge-capable entries: the family functions stream their chunked
+  // generator (gen/stream.hpp) into build_from_chunks at every scale, so
+  // scale=huge is one more size, ~10^8 arcs in bounded memory.
   v.push_back({"as-skitter",
                {22190596, 1696415, "InTopo", 13.1, 35455},
                false,
                [](Scale s) {
-                 if (s == Scale::kHuge) {
-                   return graph::build_from_chunks(
-                       PreferentialAttachmentStream(
-                           1u << 21, 7, seed_for("as-skitter")));
-                 }
                  return preferential_attachment(
-                     by_scale<vidx>(s, 4000, 30000, 120000), 7,
+                     by_scale<vidx>(s, 4000, 30000, 120000, 1u << 21), 7,
                      seed_for("as-skitter"));
                },
                /*huge=*/true});
@@ -188,14 +182,10 @@ std::vector<InputSpec> make_general() {
                {182081864, 2097152, "Kronecker", 86.8, 213904},
                false,
                [](Scale s) {
-                 if (s == Scale::kHuge) {
-                   // The paper's actual vertex count (2^21); 22<<21
-                   // samples keep the hub skew while fitting the
-                   // single-host time budget.
-                   return graph::build_from_chunks(RmatStream::kronecker(
-                       21, u64{22} << 21, seed_for("kron_g500-logn21")));
-                 }
-                 const u32 scale = by_scale<u32>(s, 11, 14, 16);
+                 // Huge is the paper's actual vertex count (2^21); 22
+                 // samples per vertex keep the hub skew while fitting the
+                 // single-host time budget.
+                 const u32 scale = by_scale<u32>(s, 11, 14, 16, 21);
                  const u64 edges = u64{22} << scale;  // dense, hub-skewed
                  return kronecker(scale, edges, seed_for("kron_g500-logn21"));
                },
@@ -205,14 +195,10 @@ std::vector<InputSpec> make_general() {
                {67108846, 8388608, "random", 8.0, 26},
                false,
                [](Scale s) {
-                 if (s == Scale::kHuge) {
-                   // 2^24 vertices x 4 draws each -> ~1.3x10^8 arcs
-                   // after mirroring: past the paper's own r4-2e23.
-                   const vidx n = vidx{1} << 24;
-                   return graph::build_from_chunks(UniformRandomStream(
-                       n, static_cast<u64>(n) * 4, seed_for("r4-2e23.sym")));
-                 }
-                 const vidx n = by_scale<vidx>(s, 4000, 60000, 250000);
+                 // Huge: 2^24 vertices x 4 draws each -> ~1.3x10^8 arcs
+                 // after mirroring, past the paper's own r4-2e23.
+                 const vidx n =
+                     by_scale<vidx>(s, 4000, 60000, 250000, vidx{1} << 24);
                  return uniform_random(n, static_cast<u64>(n) * 4,
                                        seed_for("r4-2e23.sym"));
                },
@@ -231,14 +217,9 @@ std::vector<InputSpec> make_general() {
                {65660814, 4194304, "RMAT", 15.7, 3687},
                false,
                [](Scale s) {
-                 if (s == Scale::kHuge) {
-                   // The paper's actual parameterization: scale 22,
-                   // 8 samples per vertex.
-                   return graph::build_from_chunks(
-                       RmatStream(22, u64{8} << 22, 0.45, 0.22, 0.22,
-                                  seed_for("rmat22.sym")));
-                 }
-                 const u32 scale = by_scale<u32>(s, 12, 15, 17);
+                 // Huge is the paper's actual parameterization: scale 22,
+                 // 8 samples per vertex.
+                 const u32 scale = by_scale<u32>(s, 12, 15, 17, 22);
                  return rmat(scale, u64{8} << scale, 0.45, 0.22, 0.22,
                              seed_for("rmat22.sym"));
                },

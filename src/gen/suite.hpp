@@ -17,10 +17,9 @@
 
 namespace eclp::gen {
 
-/// kTiny/kSmall/kDefault stage the generated edges before the CSR build.
-/// kHuge streams the family's chunked generator (gen/stream.hpp) straight
-/// into build_from_chunks — ~10^8-arc graphs built in bounded memory — and
-/// exists only for the inputs whose family is chunked (InputSpec::huge).
+/// kHuge is one more size of the families whose generator is a chunked
+/// stream (gen/stream.hpp, InputSpec::huge): ~10^8-arc graphs, built in
+/// bounded memory because build_from_chunks never holds the edge list.
 enum class Scale : u8 { kTiny = 0, kSmall = 1, kDefault = 2, kHuge = 3 };
 
 /// Parse "tiny"/"small"/"default"/"huge" (used by bench --scale flags).
