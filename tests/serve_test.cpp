@@ -25,12 +25,17 @@
 #include <vector>
 
 #include "algos/cc/ecl_cc.hpp"
+#include "algos/gc/ecl_gc.hpp"
 #include "algos/mis/ecl_mis.hpp"
+#include "algos/mst/ecl_mst.hpp"
+#include "algos/scc/ecl_scc.hpp"
 #include "gen/generators.hpp"
 #include "gen/suite.hpp"
 #include "graph/builder.hpp"
 #include "graph/cache.hpp"
 #include "graph/pool.hpp"
+#include "graph/reorder.hpp"
+#include "graph/transforms.hpp"
 #include "serve/server.hpp"
 #include "sim/cache.hpp"
 #include "sim/device.hpp"
@@ -325,21 +330,36 @@ void expect_matches_golden(const std::string& name,
 /// A served request must be bit-identical to the same run issued directly
 /// against a fresh deterministic Device — serving adds concurrency, not
 /// semantics. (The one-shot CLI is this direct path; tests/serve_smoke
-/// covers the actual binary.)
+/// covers the actual binary.) All five algorithms, plus the preparation
+/// rules the server applies before running: MST attaches weights from
+/// `weights_seed`, SCC keeps the directed graph, and a reorder and the LLC
+/// spec reach the graph and the Device. Each reference prepares its graph
+/// and runs its algorithm by hand, so it cannot share a defect with the
+/// serving path.
 TEST(Server, ServedResultMatchesDirectRun) {
+  serve::Request mst = make_request("mst", serve::Algo::kMst, "rmat16.sym");
+  mst.weights_seed = 9;
+  serve::Request hub = make_request("cc-hub", serve::Algo::kCc, "rmat16.sym");
+  hub.reorder = "hub";
+  hub.llc = "on";
   serve::Server server;
   auto responses = server.serve({
       make_request("cc", serve::Algo::kCc, "rmat16.sym"),
       make_request("mis", serve::Algo::kMis, "internet", 7),
+      make_request("gc", serve::Algo::kGc, "rmat16.sym"),
+      mst,
+      make_request("scc", serve::Algo::kScc, "cold-flow"),
+      hub,
   });
-  ASSERT_EQ(responses.size(), 2u);
-  ASSERT_EQ(responses[0].status, serve::Status::kOk);
-  ASSERT_EQ(responses[1].status, serve::Status::kOk);
+  ASSERT_EQ(responses.size(), 6u);
+  for (const auto& r : responses) {
+    ASSERT_EQ(r.status, serve::Status::kOk) << r.id << ": " << r.error;
+  }
 
+  const auto rmat = gen::find_input("rmat16.sym").make(gen::Scale::kTiny);
   {
-    const auto g = gen::find_input("rmat16.sym").make(gen::Scale::kTiny);
     sim::Device dev(sim::CostModel{}, 0, sim::ScheduleMode::kDeterministic);
-    const auto res = algos::cc::run(dev, g);
+    const auto res = algos::cc::run(dev, rmat);
     EXPECT_EQ(responses[0].modeled_cycles, res.modeled_cycles);
     EXPECT_EQ(responses[0].checksum, checksum_of(res.labels));
   }
@@ -349,6 +369,46 @@ TEST(Server, ServedResultMatchesDirectRun) {
     const auto res = algos::mis::run(dev, g);
     EXPECT_EQ(responses[1].modeled_cycles, res.modeled_cycles);
     EXPECT_EQ(responses[1].checksum, checksum_of(res.status));
+  }
+  {
+    sim::Device dev(sim::CostModel{}, 0, sim::ScheduleMode::kDeterministic);
+    const auto res = algos::gc::run(dev, rmat);
+    EXPECT_EQ(responses[2].modeled_cycles, res.modeled_cycles);
+    EXPECT_EQ(responses[2].checksum, checksum_of(res.colors));
+  }
+  {
+    ASSERT_FALSE(rmat.weighted());
+    const auto g = graph::with_random_weights(rmat, 9);
+    sim::Device dev(sim::CostModel{}, 0, sim::ScheduleMode::kDeterministic);
+    const auto res = algos::mst::run(dev, g);
+    EXPECT_EQ(responses[3].modeled_cycles, res.modeled_cycles);
+    EXPECT_EQ(responses[3].checksum, checksum_of(res.in_mst));
+    // The default weight seed is a different problem: the seed must land.
+    const auto g42 = graph::with_random_weights(rmat, 42);
+    sim::Device dev42(sim::CostModel{}, 0, sim::ScheduleMode::kDeterministic);
+    EXPECT_NE(responses[3].checksum,
+              checksum_of(algos::mst::run(dev42, g42).in_mst));
+  }
+  {
+    const auto g = gen::find_input("cold-flow").make(gen::Scale::kTiny);
+    ASSERT_TRUE(g.directed());
+    sim::Device dev(sim::CostModel{}, 0, sim::ScheduleMode::kDeterministic);
+    const auto res = algos::scc::run(dev, g);
+    EXPECT_EQ(responses[4].modeled_cycles, res.modeled_cycles);
+    EXPECT_EQ(responses[4].checksum, checksum_of(res.scc_id));
+  }
+  {
+    const auto g =
+        graph::apply_reorder(rmat, graph::ReorderSpec::parse("hub"));
+    sim::CostModel cost;
+    cost.cache = sim::parse_cache_config("on");
+    sim::Device dev(cost, 0, sim::ScheduleMode::kDeterministic);
+    const auto res = algos::cc::run(dev, g);
+    EXPECT_EQ(responses[5].modeled_cycles, res.modeled_cycles);
+    EXPECT_EQ(responses[5].checksum, checksum_of(res.labels));
+    EXPECT_EQ(responses[5].llc_hits, dev.llc_hits());
+    EXPECT_EQ(responses[5].llc_misses, dev.llc_misses());
+    EXPECT_GT(dev.llc_hits() + dev.llc_misses(), 0u);
   }
 }
 
