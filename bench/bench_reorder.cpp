@@ -16,15 +16,11 @@
 // ordering. --llc=L:W:S still overrides the shape.
 #include <map>
 
-#include "algos/cc/ecl_cc.hpp"
-#include "algos/gc/ecl_gc.hpp"
-#include "algos/mis/ecl_mis.hpp"
-#include "algos/mst/ecl_mst.hpp"
-#include "algos/scc/ecl_scc.hpp"
 #include "gen/suite.hpp"
 #include "graph/reorder.hpp"
 #include "graph/transforms.hpp"
 #include "harness/harness.hpp"
+#include "serve/job.hpp"
 #include "sim/cache.hpp"
 
 using namespace eclp;
@@ -54,33 +50,6 @@ int main(int argc, char** argv) {
       {"cc", "rmat16.sym"},  {"gc", "rmat16.sym"}, {"mis", "internet"},
       {"mst", "USA-road-d.NY"}, {"scc", "cold-flow"}};
 
-  const auto run_algo = [](const std::string& algo, sim::Device& dev,
-                           const graph::Csr& g) -> u64 {
-    if (algo == "cc") {
-      const auto r = algos::cc::run(dev, g);
-      ECLP_CHECK(algos::cc::verify(g, r.labels));
-      return r.modeled_cycles;
-    }
-    if (algo == "gc") {
-      const auto r = algos::gc::run(dev, g);
-      ECLP_CHECK(algos::gc::verify(g, r.colors));
-      return r.modeled_cycles;
-    }
-    if (algo == "mis") {
-      const auto r = algos::mis::run(dev, g);
-      ECLP_CHECK(algos::mis::verify(g, r.status));
-      return r.modeled_cycles;
-    }
-    if (algo == "mst") {
-      const auto r = algos::mst::run(dev, g);
-      ECLP_CHECK(algos::mst::verify(g, r));
-      return r.modeled_cycles;
-    }
-    const auto r = algos::scc::run(dev, g);
-    ECLP_CHECK(algos::scc::verify(g, r.scc_id));
-    return r.modeled_cycles;
-  };
-
   Table t("modeled LLC (" + sim::cache_config_label(cache) +
           ") under the shared reorder suite");
   t.set_header({"algo", "graph", "order", "locality", "affinity@256",
@@ -101,14 +70,18 @@ int main(int argc, char** argv) {
       sim::CostModel cost;
       cost.cache = cache;
       sim::Device dev(cost);
-      const u64 cycles = run_algo(algo, dev, g);
-      const Cell cell{cycles, dev.llc_hits(), dev.llc_misses()};
+      serve::Request req;
+      req.algo = serve::parse_algo(algo);
+      req.verify = true;
+      const serve::JobOutcome out = serve::run_job(dev, g, req);
+      ECLP_CHECK(out.verified);
+      const Cell cell{out.modeled_cycles, dev.llc_hits(), dev.llc_misses()};
       cells[algo][spec.kind] = cell;
       const u64 total = cell.hits + cell.misses;
       t.add_row({algo, input, spec.canonical(),
                  fmt::fixed(graph::locality_score(g), 4),
                  fmt::fixed(graph::block_affinity(g, 256), 4),
-                 fmt::grouped(cycles),
+                 fmt::grouped(cell.cycles),
                  fmt::fixed(total == 0
                                 ? 100.0
                                 : 100.0 * static_cast<double>(cell.hits) /

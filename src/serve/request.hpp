@@ -10,8 +10,10 @@
 // Responses come in two renderings:
 //  * deterministic (the default): only modeled quantities — result
 //    summary, modeled cycles, a content checksum of the solution vector.
-//    Byte-identical across serving thread counts and across serve-vs-CLI,
-//    which is what the serve goldens pin.
+//    Byte-identical across serving thread counts, which is what the serve
+//    goldens pin, and across serve-vs-CLI by construction: eclp-run and
+//    the server run every request through the same job runner
+//    (serve/job.hpp).
 //  * timing: adds wall-clock latency and the pool hit/miss outcome, which
 //    depend on scheduling and are therefore kept out of golden output.
 #pragma once

@@ -1,23 +1,15 @@
 #include "serve/server.hpp"
 
 #include <cctype>
-#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <utility>
 
-#include "algos/cc/ecl_cc.hpp"
-#include "algos/gc/ecl_gc.hpp"
-#include "algos/mis/ecl_mis.hpp"
-#include "algos/mst/ecl_mst.hpp"
-#include "algos/scc/ecl_scc.hpp"
-#include "gen/suite.hpp"
 #include "graph/cache.hpp"
-#include "graph/io.hpp"
 #include "graph/reorder.hpp"
-#include "graph/transforms.hpp"
-#include "sim/cache.hpp"
 #include "profile/session.hpp"
+#include "serve/job.hpp"
+#include "sim/cache.hpp"
 #include "sim/device.hpp"
 #include "support/pool.hpp"
 #include "support/timer.hpp"
@@ -25,23 +17,6 @@
 namespace eclp::serve {
 
 namespace {
-
-/// 32-hex content fingerprint of a solution vector (same 128-bit mix the
-/// graph cache keys use) — the cheap stand-in for shipping whole label
-/// arrays through response files.
-template <typename T>
-std::string checksum_of(const std::vector<T>& v) {
-  graph::CacheKey key;
-  key.mix(std::string_view(reinterpret_cast<const char*>(v.data()),
-                           v.size() * sizeof(T)));
-  return key.hex();
-}
-
-std::string summary_line(const char* fmt, auto... args) {
-  char buf[160];
-  std::snprintf(buf, sizeof buf, fmt, args...);
-  return buf;
-}
 
 /// Request ids become artifact file names; keep them path-safe.
 std::string sanitize_for_filename(const std::string& id) {
@@ -273,32 +248,6 @@ std::string Server::graph_key(const Request& req) {
   return key.hex();
 }
 
-graph::Csr Server::build_graph(const Request& req) const {
-  const bool want_directed = req.algo == Algo::kScc;
-  graph::Csr g;
-  if (!req.input.empty()) {
-    g = gen::find_input(req.input).make(req.scale);
-  } else {
-    g = graph::load_any(req.file, want_directed || req.directed);
-  }
-  // Plain CheckFailure (no source location): this message reaches response
-  // files pinned by goldens, so it must not shift with code edits.
-  if (want_directed && !g.directed()) {
-    throw CheckFailure("request " + req.id +
-                       ": scc needs a directed graph, " + req.graph_label() +
-                       " is undirected");
-  }
-  if (!want_directed && g.directed()) g = graph::symmetrize(g);
-  // Weights before reordering: with_random_weights hashes endpoint ids, so
-  // the weights are permuted with the graph and every reorder of one input
-  // solves an isomorphic weighted problem.
-  if (req.algo == Algo::kMst && !g.weighted()) {
-    g = graph::with_random_weights(g, req.weights_seed);
-  }
-  g = graph::apply_reorder(g, graph::ReorderSpec::parse(req.reorder));
-  return g;
-}
-
 Response Server::execute(const Job& job) {
   const Request& req = job.request;
   Response r;
@@ -309,7 +258,7 @@ Response Server::execute(const Job& job) {
   if (job.traced) options_.trace->emit(job.trace, "started");
   try {
     graph::Pool::Pin pin =
-        graphs_.acquire(graph_key(req), [&] { return build_graph(req); });
+        graphs_.acquire(graph_key(req), [&] { return prepare_graph(req); });
     r.pool_hit = pin.was_hit();
     if (job.traced) {
       json::Value fields = json::Value::object();
@@ -318,11 +267,7 @@ Response Server::execute(const Job& job) {
     }
     const graph::Csr& g = *pin;
 
-    sim::CostModel cost;
-    cost.cache = sim::parse_cache_config(req.llc);
-    sim::Device dev(cost, req.seed,
-                    req.seed == 0 ? sim::ScheduleMode::kDeterministic
-                                  : sim::ScheduleMode::kShuffled);
+    sim::Device dev = make_device(req);
     // A session records when explicitly profiling (profile_dir) — with its
     // output path set up front — or speculatively when the slow-request
     // hook is armed (slow_ms >= 0), where the output path is attached only
@@ -338,9 +283,8 @@ Response Server::execute(const Job& job) {
       session->set_meta("graph", req.graph_label());
       session->set_meta("seed", std::to_string(req.seed));
       if (!req.reorder.empty()) session->set_meta("reorder", req.reorder);
-      if (cost.cache.enabled) {
-        session->set_meta("llc", sim::cache_config_label(cost.cache));
-      }
+      const sim::CacheConfig& llc = dev.cost_model().cache;
+      if (llc.enabled) session->set_meta("llc", sim::cache_config_label(llc));
       if (job.traced) {
         session->set_meta("trace", TraceLog::id_string(job.trace));
       }
@@ -350,58 +294,10 @@ Response Server::execute(const Job& job) {
       }
     }
 
-    bool verified = true;
-    switch (req.algo) {
-      case Algo::kCc: {
-        const auto res = algos::cc::run(dev, g);
-        usize components = 0;
-        for (vidx v = 0; v < g.num_vertices(); ++v) {
-          components += (res.labels[v] == v);
-        }
-        r.summary = summary_line("CC: %zu components", components);
-        r.modeled_cycles = res.modeled_cycles;
-        r.checksum = checksum_of(res.labels);
-        if (req.verify) verified = algos::cc::verify(g, res.labels);
-        break;
-      }
-      case Algo::kGc: {
-        const auto res = algos::gc::run(dev, g);
-        r.summary = summary_line(
-            "GC: %u colors in %llu rounds", res.num_colors,
-            static_cast<unsigned long long>(res.host_iterations));
-        r.modeled_cycles = res.modeled_cycles;
-        r.checksum = checksum_of(res.colors);
-        if (req.verify) verified = algos::gc::verify(g, res.colors);
-        break;
-      }
-      case Algo::kMis: {
-        const auto res = algos::mis::run(dev, g);
-        r.summary = summary_line("MIS: |S| = %zu", res.set_size);
-        r.modeled_cycles = res.modeled_cycles;
-        r.checksum = checksum_of(res.status);
-        if (req.verify) verified = algos::mis::verify(g, res.status);
-        break;
-      }
-      case Algo::kMst: {
-        const auto res = algos::mst::run(dev, g);
-        r.summary = summary_line(
-            "MST: weight %llu over %zu edges",
-            static_cast<unsigned long long>(res.total_weight), res.mst_edges);
-        r.modeled_cycles = res.modeled_cycles;
-        r.checksum = checksum_of(res.in_mst);
-        if (req.verify) verified = algos::mst::verify(g, res);
-        break;
-      }
-      case Algo::kScc: {
-        const auto res = algos::scc::run(dev, g);
-        r.summary = summary_line("SCC: %zu components in m = %u rounds",
-                                 res.num_sccs, res.outer_iterations);
-        r.modeled_cycles = res.modeled_cycles;
-        r.checksum = checksum_of(res.scc_id);
-        if (req.verify) verified = algos::scc::verify(g, res.scc_id);
-        break;
-      }
-    }
+    JobOutcome out = run_job(dev, g, req);
+    r.summary = std::move(out.summary);
+    r.modeled_cycles = out.modeled_cycles;
+    r.checksum = std::move(out.checksum);
     r.llc_hits = dev.llc_hits();
     r.llc_misses = dev.llc_misses();
     // The slow-request hook decides *before* the session is torn down:
@@ -417,8 +313,8 @@ Response Server::execute(const Job& job) {
       }
     }
     session.reset();  // write the per-request artifacts before responding
-    ECLP_CHECK_MSG(verified, "request " << req.id
-                                        << ": verification FAILED");
+    ECLP_CHECK_MSG(out.verified,
+                   "request " << req.id << ": verification FAILED");
     r.status = Status::kOk;
   } catch (const std::exception& e) {
     r.status = Status::kError;

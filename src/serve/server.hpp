@@ -6,7 +6,9 @@
 //   submit/serve            bounded pending queue (admission control)
 //     └─ worker threads     each pops the next request as soon as it is free
 //         └─ execute()      per-request Device + optional profile::Session
-//                           over a graph::Pool::Pin on the shared CSR
+//             ├─ acquire    graph::Pool::Pin on the shared CSR; a pool miss
+//             │             builds it with prepare_graph (serve/job.hpp)
+//             └─ run_job    run, summarize, checksum, verify (serve/job.hpp)
 //
 // Isolation model: every request gets its own sim::Device (own PRNG
 // stream, cycle counter, atomic tallies) and, when profiling, its own
@@ -160,7 +162,6 @@ class Server {
   void worker_main();
   void admit_locked(Job& job);
   Response execute(const Job& job);
-  graph::Csr build_graph(const Request& req) const;
   u64 now_ns() const { return clock_(); }
 
   ServerOptions options_;

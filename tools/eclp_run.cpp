@@ -6,7 +6,10 @@
 //   $ eclp-run --algo=mst --graph=road.gr --verify
 //
 // Either --graph=<file> (any supported extension) or --input=<suite name>
-// selects the graph. Undirected algorithms symmetrize directed files.
+// selects the graph. Undirected algorithms symmetrize directed files. The
+// flags fill a serve::Request, and graph preparation and the run go through
+// the same job runner as eclp-serve (serve/job.hpp), so both tools report
+// the same result for the same request.
 //
 // --profile=<path> (or ECLP_PROFILE) records a profiling session: a
 // versioned eclp.profile JSON at <path> (gate two runs against each other
@@ -16,66 +19,18 @@
 #include <cstdlib>
 #include <memory>
 
-#include "algos/cc/ecl_cc.hpp"
-#include "graph/cache.hpp"
-#include "algos/gc/ecl_gc.hpp"
-#include "algos/mis/ecl_mis.hpp"
-#include "algos/mst/ecl_mst.hpp"
-#include "algos/scc/ecl_scc.hpp"
 #include "gen/suite.hpp"
-#include "graph/io.hpp"
+#include "graph/cache.hpp"
 #include "graph/reorder.hpp"
-#include "graph/transforms.hpp"
 #include "profile/session.hpp"
 #include "profile/timeline.hpp"
+#include "serve/job.hpp"
 #include "support/cli.hpp"
 #include "support/parallel_for.hpp"
 #include "support/rss.hpp"
 #include "support/timer.hpp"
 
 using namespace eclp;
-
-namespace {
-
-graph::Csr obtain_graph(const Cli& cli, const std::string& algo) {
-  const bool want_directed = algo == "scc";
-  graph::Csr g;
-  if (!cli.get("graph").empty()) {
-    g = graph::load_any(cli.get("graph"), want_directed);
-  } else {
-    ECLP_CHECK_MSG(!cli.get("input").empty(),
-                   "pass --graph=<file> or --input=<suite name>");
-    g = gen::find_input(cli.get("input"))
-            .make(gen::parse_scale(cli.get("scale")));
-  }
-  if (!want_directed && g.directed()) {
-    std::printf("note: symmetrizing directed input for an undirected "
-                "algorithm\n");
-    g = graph::symmetrize(g);
-  }
-  ECLP_CHECK_MSG(!want_directed || g.directed(),
-                 "SCC needs a directed graph");
-  // MST weights must be attached BEFORE any reordering: with_random_weights
-  // hashes endpoint ids, so weighting first and permuting the weights with
-  // the graph keeps results isomorphic across every --reorder choice.
-  if (algo == "mst" && !g.weighted()) {
-    g = graph::with_random_weights(g,
-                                   static_cast<u64>(cli.get_int("weights")));
-    std::printf("note: attached random weights (seed %lld)\n",
-                static_cast<long long>(cli.get_int("weights")));
-  }
-  const auto spec = graph::ReorderSpec::parse(cli.get("reorder"));
-  if (!spec.is_natural()) {
-    g = graph::apply_reorder(g, spec);
-    std::printf("note: reordered vertices (%s); locality %.4f, "
-                "block affinity %.4f\n",
-                spec.canonical().c_str(), graph::locality_score(g),
-                graph::block_affinity(g, 256));
-  }
-  return g;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   Cli cli;
@@ -135,12 +90,29 @@ int main(int argc, char** argv) {
   if (!cli.get("graph-cache").empty()) {
     graph::set_cache_dir(cli.get("graph-cache"));
   }
-  const u64 seed = static_cast<u64>(cli.get_int("seed"));
-  sim::CostModel cost;
-  cost.cache = sim::parse_cache_config(cli.get("llc"));
-  sim::Device dev(cost, seed,
-                  seed == 0 ? sim::ScheduleMode::kDeterministic
-                            : sim::ScheduleMode::kShuffled);
+  serve::Request req;
+  req.id = "eclp-run";
+  req.seed = static_cast<u64>(cli.get_int("seed"));
+  try {
+    req.algo = serve::parse_algo(algo);
+  } catch (const CheckFailure&) {
+    std::printf("unknown --algo=%s (cc | gc | mis | mst | scc)\n",
+                algo.c_str());
+    return 2;
+  }
+  req.file = cli.get("graph");
+  if (req.file.empty()) {
+    req.input = cli.get("input");
+    ECLP_CHECK_MSG(!req.input.empty(),
+                   "pass --graph=<file> or --input=<suite name>");
+    req.scale = gen::parse_scale(cli.get("scale"));
+  }
+  req.weights_seed = static_cast<u64>(cli.get_int("weights"));
+  req.reorder = cli.get("reorder");
+  req.llc = cli.get("llc");
+  req.verify = cli.get_flag("verify");
+  sim::Device dev = serve::make_device(req);
+  const sim::CacheConfig& llc = dev.cost_model().cache;
 
   std::string profile_path = cli.get("profile");
   if (profile_path.empty()) {
@@ -155,99 +127,23 @@ int main(int argc, char** argv) {
     session->set_meta("tool", "eclp-run");
     session->set_meta("algo", algo);
     session->set_meta("seed", cli.get("seed"));
-    session->set_meta("graph", !cli.get("graph").empty()
-                                   ? cli.get("graph")
-                                   : cli.get("input"));
-    const auto spec = graph::ReorderSpec::parse(cli.get("reorder"));
+    session->set_meta("graph", req.graph_label());
+    const auto spec = graph::ReorderSpec::parse(req.reorder);
     if (!spec.is_natural()) session->set_meta("reorder", spec.canonical());
-    if (cost.cache.enabled) {
-      session->set_meta("llc", sim::cache_config_label(cost.cache));
-    }
+    if (llc.enabled) session->set_meta("llc", sim::cache_config_label(llc));
     if (!profile_path.empty()) session->set_output(profile_path);
   }
 
   Timer wall;
-  if (algo == "cc") {
-    const auto g = obtain_graph(cli, algo);
-    const auto res = algos::cc::run(dev, g);
-    std::printf("CC: %zu components, %llu modeled cycles, %.0f ms wall\n",
-                [&] {
-                  usize c = 0;
-                  for (vidx v = 0; v < g.num_vertices(); ++v) {
-                    c += (res.labels[v] == v);
-                  }
-                  return c;
-                }(),
-                static_cast<unsigned long long>(res.modeled_cycles),
-                wall.milliseconds());
-    std::printf("init traversals %llu over %llu vertices (ratio %.2f)\n",
-                static_cast<unsigned long long>(
-                    res.profile.init_neighbors_traversed),
-                static_cast<unsigned long long>(
-                    res.profile.vertices_initialized),
-                static_cast<double>(res.profile.init_neighbors_traversed) /
-                    static_cast<double>(res.profile.vertices_initialized));
-    if (cli.get_flag("verify")) {
-      ECLP_CHECK_MSG(algos::cc::verify(g, res.labels), "CC verify FAILED");
-      std::printf("verified against BFS reference.\n");
-    }
-  } else if (algo == "gc") {
-    const auto g = obtain_graph(cli, algo);
-    const auto res = algos::gc::run(dev, g);
-    std::printf("GC: %u colors in %llu rounds, %llu modeled cycles, "
-                "%.0f ms wall\n",
-                res.num_colors,
-                static_cast<unsigned long long>(res.host_iterations),
-                static_cast<unsigned long long>(res.modeled_cycles),
-                wall.milliseconds());
-    if (cli.get_flag("verify")) {
-      ECLP_CHECK_MSG(algos::gc::verify(g, res.colors), "GC verify FAILED");
-      std::printf("verified: proper coloring.\n");
-    }
-  } else if (algo == "mis") {
-    const auto g = obtain_graph(cli, algo);
-    const auto res = algos::mis::run(dev, g);
-    std::printf("MIS: |S| = %zu, iterations avg %.2f max %.0f, %llu modeled "
-                "cycles, %.0f ms wall\n",
-                res.set_size, res.metrics.iterations.mean,
-                res.metrics.iterations.max,
-                static_cast<unsigned long long>(res.modeled_cycles),
-                wall.milliseconds());
-    if (cli.get_flag("verify")) {
-      ECLP_CHECK_MSG(algos::mis::verify(g, res.status), "MIS verify FAILED");
-      std::printf("verified: independent and maximal.\n");
-    }
-  } else if (algo == "mst") {
-    const auto g = obtain_graph(cli, algo);
-    const auto res = algos::mst::run(dev, g);
-    std::printf("MST: weight %llu over %zu edges, %llu iterations, %llu "
-                "modeled cycles, %.0f ms wall\n",
-                static_cast<unsigned long long>(res.total_weight),
-                res.mst_edges,
-                static_cast<unsigned long long>(res.host_iterations),
-                static_cast<unsigned long long>(res.modeled_cycles),
-                wall.milliseconds());
-    if (cli.get_flag("verify")) {
-      ECLP_CHECK_MSG(algos::mst::verify(g, res), "MST verify FAILED");
-      std::printf("verified against Kruskal.\n");
-    }
-  } else if (algo == "scc") {
-    const auto g = obtain_graph(cli, algo);
-    const auto res = algos::scc::run(dev, g);
-    std::printf("SCC: %zu components in m = %u rounds, %llu modeled cycles, "
-                "%.0f ms wall\n",
-                res.num_sccs, res.outer_iterations,
-                static_cast<unsigned long long>(res.modeled_cycles),
-                wall.milliseconds());
-    if (cli.get_flag("verify")) {
-      ECLP_CHECK_MSG(algos::scc::verify(g, res.scc_id), "SCC verify FAILED");
-      std::printf("verified against Tarjan.\n");
-    }
-  } else {
-    std::printf("unknown --algo=%s (cc | gc | mis | mst | scc)\n",
-                algo.c_str());
-    return 2;
-  }
+  std::string notes;
+  const graph::Csr g = serve::prepare_graph(req, &notes);
+  std::fputs(notes.c_str(), stdout);
+  const serve::JobOutcome out = serve::run_job(dev, g, req);
+  std::printf("%s%s, %llu modeled cycles, %.0f ms wall\n%s",
+              out.summary.c_str(), out.detail.c_str(),
+              static_cast<unsigned long long>(out.modeled_cycles),
+              wall.milliseconds(), out.after.c_str());
+  ECLP_CHECK_MSG(out.verified, algo << " verify FAILED");
 
   if (timeline) {
     std::printf("\n%s", profile::timeline_summary(*session).to_text().c_str());
@@ -265,10 +161,10 @@ int main(int argc, char** argv) {
   // this line; 0 means procfs is unavailable and the smoke skips.
   std::printf("peak rss: %llu MiB\n",
               static_cast<unsigned long long>(peak_rss_bytes() >> 20));
-  if (cost.cache.enabled) {
+  if (llc.enabled) {
     const u64 total = dev.llc_hits() + dev.llc_misses();
     std::printf("llc(%s): %llu hits, %llu misses (hit rate %.1f%%)\n",
-                sim::cache_config_label(cost.cache).c_str(),
+                sim::cache_config_label(llc).c_str(),
                 static_cast<unsigned long long>(dev.llc_hits()),
                 static_cast<unsigned long long>(dev.llc_misses()),
                 total == 0 ? 100.0
