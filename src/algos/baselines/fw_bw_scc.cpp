@@ -4,6 +4,7 @@
 
 #include "algos/common.hpp"
 #include "graph/transforms.hpp"
+#include "sim/operators.hpp"
 
 namespace eclp::algos::baselines {
 
@@ -42,23 +43,20 @@ FwBwResult fw_bw_scc(sim::Device& dev, const graph::Csr& g,
     while (!frontier.empty()) {
       ++res.bfs_launches;
       next_frontier.clear();
-      dev.launch("fwbw_bfs",
-                 blocks_for(frontier.size(), threads_per_block),
-                 [&](sim::ThreadCtx& ctx) {
-                   for (u64 i = ctx.global_id(); i < frontier.size();
-                        i += ctx.grid_size()) {
-                     const vidx v = frontier[i];
-                     ctx.charge_coalesced_reads(1);
-                     for (const vidx w : adj.neighbors(v)) {
-                       ctx.charge_reads(2);
-                       if (region[w] == r && !mark[w]) {
-                         ctx.charge_writes(1);
-                         mark[w] = 1;
-                         next_frontier.push_back(w);
-                       }
-                     }
-                   }
-                 });
+      sim::ops::compute(dev, "fwbw_bfs",
+                        blocks_for(frontier.size(), threads_per_block),
+                        frontier.size(), [&](sim::ThreadCtx& ctx, vidx i) {
+        const vidx v = frontier[i];
+        ctx.charge_coalesced_reads(1);
+        for (const vidx w : adj.neighbors(v)) {
+          ctx.charge_reads(2);
+          if (region[w] == r && !mark[w]) {
+            ctx.charge_writes(1);
+            mark[w] = 1;
+            next_frontier.push_back(w);
+          }
+        }
+      });
       frontier.swap(next_frontier);
       dev.host_op();  // frontier-size readback for the next launch
     }
@@ -73,31 +71,30 @@ FwBwResult fw_bw_scc(sim::Device& dev, const graph::Csr& g,
     while (trimmed) {
       ++res.trim_rounds;
       trimmed = false;
-      dev.launch("fwbw_trim", vertex_cfg, [&](sim::ThreadCtx& ctx) {
-        for (vidx v = ctx.global_id(); v < n; v += ctx.grid_size()) {
-          ctx.charge_coalesced_reads(1);
-          if (region[v] != r) continue;
-          bool has_in = false, has_out = false;
-          for (const vidx w : g.neighbors(v)) {
-            ctx.charge_reads(1);
-            if (region[w] == r) {
-              has_out = true;
-              break;
-            }
+      sim::ops::compute(dev, "fwbw_trim", vertex_cfg, n,
+                        [&](sim::ThreadCtx& ctx, vidx v) {
+        ctx.charge_coalesced_reads(1);
+        if (region[v] != r) return;
+        bool has_in = false, has_out = false;
+        for (const vidx w : g.neighbors(v)) {
+          ctx.charge_reads(1);
+          if (region[w] == r) {
+            has_out = true;
+            break;
           }
-          for (const vidx w : gt.neighbors(v)) {
-            ctx.charge_reads(1);
-            if (region[w] == r) {
-              has_in = true;
-              break;
-            }
+        }
+        for (const vidx w : gt.neighbors(v)) {
+          ctx.charge_reads(1);
+          if (region[w] == r) {
+            has_in = true;
+            break;
           }
-          if (!has_in || !has_out) {
-            ctx.charge_writes(2);
-            res.scc_id[v] = v;  // singleton SCC
-            region[v] = kNoRegion;
-            trimmed = true;
-          }
+        }
+        if (!has_in || !has_out) {
+          ctx.charge_writes(2);
+          res.scc_id[v] = v;  // singleton SCC
+          region[v] = kNoRegion;
+          trimmed = true;
         }
       });
       dev.host_op();
@@ -124,28 +121,27 @@ FwBwResult fw_bw_scc(sim::Device& dev, const graph::Csr& g,
     const vidx r_bwd = next_region++;
     const vidx r_rest = next_region++;
     u64 fwd_count = 0, bwd_count = 0, rest_count = 0;
-    dev.launch("fwbw_partition", vertex_cfg, [&](sim::ThreadCtx& ctx) {
-      for (vidx v = ctx.global_id(); v < n; v += ctx.grid_size()) {
-        ctx.charge_coalesced_reads(1);
-        if (region[v] != r) continue;
-        ctx.charge_reads(2);
-        ctx.charge_writes(1);
-        if (fwd[v] && bwd[v]) {
-          res.scc_id[v] = pivot;
-          region[v] = kNoRegion;
-        } else if (fwd[v]) {
-          region[v] = r_fwd;
-          fwd_count++;
-        } else if (bwd[v]) {
-          region[v] = r_bwd;
-          bwd_count++;
-        } else {
-          region[v] = r_rest;
-          rest_count++;
-        }
-        fwd[v] = 0;
-        bwd[v] = 0;
+    sim::ops::compute(dev, "fwbw_partition", vertex_cfg, n,
+                      [&](sim::ThreadCtx& ctx, vidx v) {
+      ctx.charge_coalesced_reads(1);
+      if (region[v] != r) return;
+      ctx.charge_reads(2);
+      ctx.charge_writes(1);
+      if (fwd[v] && bwd[v]) {
+        res.scc_id[v] = pivot;
+        region[v] = kNoRegion;
+      } else if (fwd[v]) {
+        region[v] = r_fwd;
+        fwd_count++;
+      } else if (bwd[v]) {
+        region[v] = r_bwd;
+        bwd_count++;
+      } else {
+        region[v] = r_rest;
+        rest_count++;
       }
+      fwd[v] = 0;
+      bwd[v] = 0;
     });
     dev.host_op();
     if (fwd_count > 0) pending.push_back(r_fwd);

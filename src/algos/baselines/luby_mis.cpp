@@ -4,6 +4,7 @@
 
 #include "algos/common.hpp"
 #include "algos/mis/ecl_mis.hpp"
+#include "sim/operators.hpp"
 #include "support/prng.hpp"
 
 namespace eclp::algos::baselines {
@@ -26,6 +27,7 @@ LubyResult luby_mis(sim::Device& dev, const graph::Csr& g, u64 seed,
   std::vector<u8> stat(n, kUndecided);
   const u64 cycles_before = dev.total_cycles();
 
+  const auto cfg = blocks_for(std::max<u64>(n, 1), threads_per_block);
   usize undecided = n;
   while (undecided > 0) {
     ++res.rounds;
@@ -33,54 +35,46 @@ LubyResult luby_mis(sim::Device& dev, const graph::Csr& g, u64 seed,
     const u32 round = res.rounds;
     usize decided_this_round = 0;
     // Selection: strict local maxima of this round's random draw join.
-    dev.launch("luby_select",
-               blocks_for(std::max<u64>(n, 1), threads_per_block),
-               [&](sim::ThreadCtx& ctx) {
-                 for (vidx v = ctx.global_id(); v < n;
-                      v += ctx.grid_size()) {
-                   ctx.charge_coalesced_reads(1);
-                   if (stat[v] != kUndecided) continue;
-                   ctx.charge_alu(2);  // the random draw
-                   const u64 rv = draw(seed, v, round);
-                   bool best = true;
-                   for (const vidx u : g.neighbors(v)) {
-                     ctx.charge_reads(1);
-                     if (stat[u] == mis::kIn) {
-                       best = false;  // a neighbor won already this round
-                       break;
-                     }
-                     if (stat[u] != kUndecided) continue;
-                     const u64 ru = draw(seed, u, round);
-                     if (ru > rv || (ru == rv && u > v)) {
-                       best = false;
-                       break;
-                     }
-                   }
-                   if (best) {
-                     ctx.charge_writes(1);
-                     stat[v] = mis::kIn;
-                   }
-                 }
-               });
+    sim::ops::compute(dev, "luby_select", cfg, n,
+                      [&](sim::ThreadCtx& ctx, vidx v) {
+      ctx.charge_coalesced_reads(1);
+      if (stat[v] != kUndecided) return;
+      ctx.charge_alu(2);  // the random draw
+      const u64 rv = draw(seed, v, round);
+      bool best = true;
+      for (const vidx u : g.neighbors(v)) {
+        ctx.charge_reads(1);
+        if (stat[u] == mis::kIn) {
+          best = false;  // a neighbor won already this round
+          break;
+        }
+        if (stat[u] != kUndecided) continue;
+        const u64 ru = draw(seed, u, round);
+        if (ru > rv || (ru == rv && u > v)) {
+          best = false;
+          break;
+        }
+      }
+      if (best) {
+        ctx.charge_writes(1);
+        stat[v] = mis::kIn;
+      }
+    });
     // Knock-out: neighbors of fresh winners leave (round barrier between
     // the two kernels keeps this race-free — Luby's synchronous structure).
-    dev.launch("luby_knockout",
-               blocks_for(std::max<u64>(n, 1), threads_per_block),
-               [&](sim::ThreadCtx& ctx) {
-                 for (vidx v = ctx.global_id(); v < n;
-                      v += ctx.grid_size()) {
-                   ctx.charge_coalesced_reads(1);
-                   if (stat[v] != kUndecided) continue;
-                   for (const vidx u : g.neighbors(v)) {
-                     ctx.charge_reads(1);
-                     if (stat[u] == mis::kIn) {
-                       ctx.charge_writes(1);
-                       stat[v] = mis::kOut;
-                       break;
-                     }
-                   }
-                 }
-               });
+    sim::ops::compute(dev, "luby_knockout", cfg, n,
+                      [&](sim::ThreadCtx& ctx, vidx v) {
+      ctx.charge_coalesced_reads(1);
+      if (stat[v] != kUndecided) return;
+      for (const vidx u : g.neighbors(v)) {
+        ctx.charge_reads(1);
+        if (stat[u] == mis::kIn) {
+          ctx.charge_writes(1);
+          stat[v] = mis::kOut;
+          break;
+        }
+      }
+    });
     usize remaining = 0;
     for (vidx v = 0; v < n; ++v) remaining += (stat[v] == kUndecided);
     decided_this_round = undecided - remaining;
