@@ -483,10 +483,25 @@ TEST(Server, MalformedReorderSpecBecomesATypedError) {
   serve::Server server;
   serve::Request bad = make_request("bad", serve::Algo::kCc, "rmat16.sym");
   bad.reorder = "zorder";
-  const auto responses = server.serve({bad});
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_EQ(responses[0].status, serve::Status::kError);
-  EXPECT_NE(responses[0].error.find("reorder"), std::string::npos);
+  serve::Request bad_llc =
+      make_request("bad-llc", serve::Algo::kCc, "rmat16.sym");
+  bad_llc.llc = "64:8";
+  serve::Request missing = make_request("missing", serve::Algo::kCc, "");
+  missing.file = "no-such-dir/missing.mtx";
+  const auto responses = server.serve({bad, bad_llc, missing});
+  ASSERT_EQ(responses.size(), 3u);
+  // The response carries the check's own text: the same request gives the
+  // same line from any checkout, with no source file or line in it.
+  const std::string expected[] = {
+      "unknown reorder spec 'zorder' (expected natural, random[:SEED], bfs, "
+      "degree, hub, hubcluster, gorder[:WINDOW])",
+      "llc spec must be off, on, or LINE:WAYS:SETS, got '64:8'",
+      "cannot open no-such-dir/missing.mtx"};
+  for (usize i = 0; i < 3; ++i) {
+    EXPECT_EQ(responses[i].status, serve::Status::kError) << responses[i].id;
+    EXPECT_EQ(responses[i].error, expected[i]) << responses[i].id;
+    EXPECT_EQ(responses[i].error.find(".cpp:"), std::string::npos);
+  }
 }
 
 TEST(Server, LlcRequestMatchesDirectCacheEnabledRun) {
