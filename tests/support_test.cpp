@@ -29,7 +29,12 @@ TEST(Check, FailureThrowsWithExpression) {
     FAIL() << "expected CheckFailure";
   } catch (const CheckFailure& e) {
     EXPECT_NE(std::string(e.what()).find("1 == 2"), std::string::npos);
+    // message() drops the source location that what() carries.
+    EXPECT_EQ(e.message(), "check failed: 1 == 2");
+    EXPECT_NE(std::string(e.what()).find("support_test.cpp:"),
+              std::string::npos);
   }
+  EXPECT_EQ(CheckFailure("plain text").message(), "plain text");
 }
 
 TEST(Check, MessageIsStreamed) {
@@ -39,6 +44,7 @@ TEST(Check, MessageIsStreamed) {
     FAIL() << "expected CheckFailure";
   } catch (const CheckFailure& e) {
     EXPECT_NE(std::string(e.what()).find("x=41"), std::string::npos);
+    EXPECT_EQ(e.message(), "x=41");
   }
 }
 
