@@ -9,7 +9,6 @@
 
 #include "graph/stream_build.hpp"
 #include "graph/text_parse.hpp"
-#include "support/parallel_for.hpp"
 
 namespace eclp::graph {
 
@@ -20,26 +19,11 @@ struct Header {
   u64 edges = 0;
 };
 
-std::string slurp(std::istream& is) {
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return std::move(ss).str();
-}
-
-/// Consume one line off the front of `text` (no '\n', no trailing '\r').
-std::string_view next_line(std::string_view& text) {
-  const usize nl = text.find('\n');
-  std::string_view line = text.substr(0, nl);
-  text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
-  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  return line;
-}
-
 /// Skip "c" comment lines and parse the "p <kind> n m" line; `text` is
 /// left pointing at the first body line.
 Header read_header(std::string_view& text, const std::string& expected_kind) {
   while (!text.empty()) {
-    std::string_view line = next_line(text);
+    std::string_view line = detail::next_line(text);
     if (line.empty() || line[0] == 'c') continue;
     ECLP_CHECK_MSG(line[0] == 'p', "dimacs: expected 'p' line, got: " << line);
     std::istringstream ls{std::string(line)};
@@ -58,31 +42,20 @@ Header read_header(std::string_view& text, const std::string& expected_kind) {
   return {};
 }
 
-/// Chunk-parallel sweep over the body lines: every line must be a comment,
-/// blank, or start with `tag`; fn parses the payload after the tag into the
-/// chunk's private edge buffer. Buffers come back in chunk order, so the
-/// canonical sequence they form equals a serial sweep (docs/INGEST.md).
+/// Sweep the body lines: every line must be a comment, blank, or start
+/// with `tag`; fn parses the payload after the tag into the chunk's edge
+/// buffer.
 template <typename ParseLine>
 std::vector<std::vector<Edge>> parse_body(std::string_view body, char tag,
                                           const char* what,
                                           ParseLine&& parse_line) {
-  Pool* pool = build_pool();
-  const auto chunks =
-      detail::chunk_at_lines(body, pool == nullptr ? 1 : pool->size());
-  std::vector<std::vector<Edge>> chunk_edges(chunks.size());
-  parallel_for_chunks(
-      pool, chunks.size(), chunks.size(), [&](u64 c, u64, u64, u32) {
-        std::vector<Edge>& out = chunk_edges[c];
-        out.reserve(chunks[c].size() / 8 + 1);
-        detail::for_each_line(chunks[c], [&](std::string_view line) {
-          if (line.empty() || line[0] == 'c') return;
-          ECLP_CHECK_MSG(line[0] == tag, "dimacs " << what << ": expected '"
-                                                   << tag
-                                                   << "' line: " << line);
-          parse_line(line.substr(1), line, out);
-        });
+  return detail::sweep_lines(
+      body, [&](std::string_view line, std::vector<Edge>& out) {
+        if (line.empty() || line[0] == 'c') return;
+        ECLP_CHECK_MSG(line[0] == tag, "dimacs " << what << ": expected '"
+                                                 << tag << "' line: " << line);
+        parse_line(line.substr(1), line, out);
       });
-  return chunk_edges;
 }
 
 }  // namespace
@@ -114,7 +87,7 @@ Csr parse_dimacs_sp(std::string_view text, bool symmetrize) {
 }
 
 Csr read_dimacs_sp(std::istream& is, bool symmetrize) {
-  return parse_dimacs_sp(slurp(is), symmetrize);
+  return parse_dimacs_sp(detail::slurp(is), symmetrize);
 }
 
 void write_dimacs_sp(const Csr& g, std::ostream& os) {
@@ -153,7 +126,7 @@ Csr parse_dimacs_col(std::string_view text) {
 }
 
 Csr read_dimacs_col(std::istream& is) {
-  return parse_dimacs_col(slurp(is));
+  return parse_dimacs_col(detail::slurp(is));
 }
 
 void write_dimacs_col(const Csr& g, std::ostream& os) {

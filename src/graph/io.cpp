@@ -13,7 +13,6 @@
 #include "graph/dimacs.hpp"
 #include "graph/stream_build.hpp"
 #include "graph/text_parse.hpp"
-#include "support/parallel_for.hpp"
 
 namespace eclp::graph {
 
@@ -53,25 +52,10 @@ std::vector<T> read_vec(std::istream& is) {
   return v;
 }
 
-std::string slurp(std::istream& is) {
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return std::move(ss).str();
-}
-
 std::string slurp_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   ECLP_CHECK_MSG(is.is_open(), "cannot open " << path);
-  return slurp(is);
-}
-
-/// Consume one line off the front of `text` (no '\n' in the result).
-std::string_view next_line(std::string_view& text) {
-  const usize nl = text.find('\n');
-  std::string_view line = text.substr(0, nl);
-  text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
-  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  return line;
+  return detail::slurp(is);
 }
 
 }  // namespace
@@ -141,6 +125,7 @@ void write_matrix_market(const Csr& g, std::ostream& os) {
 }
 
 Csr parse_matrix_market(std::string_view text) {
+  using detail::next_line;
   using detail::parse_f64;
   using detail::parse_u64;
 
@@ -176,31 +161,19 @@ Csr parse_matrix_market(std::string_view text) {
   ECLP_CHECK_MSG(rows == cols, "matrix market: matrix must be square");
   ECLP_CHECK_MSG(rows < kNoVertex, "matrix market: too many vertices");
 
-  // Chunk-parallel entry parse: byte ranges split at line boundaries, one
-  // private edge buffer per chunk, the buffers assembled in chunk order —
-  // the canonical sequence equals a serial line-by-line sweep
-  // (docs/INGEST.md).
-  Pool* pool = build_pool();
-  const auto chunks =
-      detail::chunk_at_lines(rest, pool == nullptr ? 1 : pool->size());
-  std::vector<std::vector<Edge>> chunk_edges(chunks.size());
-  parallel_for_chunks(
-      pool, chunks.size(), chunks.size(), [&](u64 c, u64, u64, u32) {
-        std::vector<Edge>& out = chunk_edges[c];
-        out.reserve(chunks[c].size() / 8 + 1);
-        detail::for_each_line(chunks[c], [&](std::string_view line) {
-          if (line.empty()) return;
-          u64 r = 0, cc = 0;
-          double w = 0.0;
-          std::string_view s = line;
-          ECLP_CHECK_MSG(parse_u64(s, r) && parse_u64(s, cc),
-                         "matrix market: malformed entry: " << line);
-          if (weighted) parse_f64(s, w);
-          ECLP_CHECK_MSG(r >= 1 && r <= rows && cc >= 1 && cc <= cols,
-                         "matrix market: index out of range: " << line);
-          out.push_back({static_cast<vidx>(r - 1), static_cast<vidx>(cc - 1),
-                         static_cast<weight_t>(w)});
-        });
+  const auto chunk_edges = detail::sweep_lines(
+      rest, [&](std::string_view line, std::vector<Edge>& out) {
+        if (line.empty()) return;
+        u64 r = 0, cc = 0;
+        double w = 0.0;
+        std::string_view s = line;
+        ECLP_CHECK_MSG(parse_u64(s, r) && parse_u64(s, cc),
+                       "matrix market: malformed entry: " << line);
+        if (weighted) parse_f64(s, w);
+        ECLP_CHECK_MSG(r >= 1 && r <= rows && cc >= 1 && cc <= cols,
+                       "matrix market: index out of range: " << line);
+        out.push_back({static_cast<vidx>(r - 1), static_cast<vidx>(cc - 1),
+                       static_cast<weight_t>(w)});
       });
 
   u64 total = 0;
@@ -216,41 +189,33 @@ Csr parse_matrix_market(std::string_view text) {
 }
 
 Csr read_matrix_market(std::istream& is) {
-  return parse_matrix_market(slurp(is));
+  return parse_matrix_market(detail::slurp(is));
 }
 
 Csr parse_edge_list(std::string_view text, bool directed, vidx num_vertices) {
   using detail::parse_u64;
 
-  Pool* pool = build_pool();
-  const auto chunks =
-      detail::chunk_at_lines(text, pool == nullptr ? 1 : pool->size());
   struct ChunkResult {
     std::vector<Edge> edges;
     vidx max_id = 0;
     bool weighted = false;
   };
-  std::vector<ChunkResult> results(chunks.size());
-  parallel_for_chunks(
-      pool, chunks.size(), chunks.size(), [&](u64 c, u64, u64, u32) {
-        ChunkResult& out = results[c];
-        out.edges.reserve(chunks[c].size() / 8 + 1);
-        detail::for_each_line(chunks[c], [&](std::string_view line) {
-          if (line.empty() || line[0] == '#' || line[0] == '%') return;
-          u64 u = 0, v = 0, w = 0;
-          std::string_view s = line;
-          ECLP_CHECK_MSG(parse_u64(s, u) && parse_u64(s, v),
-                         "edge list: malformed line: " << line);
-          // A third numeric token is a weight; trailing non-numeric noise
-          // is ignored, as the stream-based reader always did.
-          if (parse_u64(s, w)) out.weighted = true;
-          ECLP_CHECK_MSG(u < kNoVertex && v < kNoVertex,
-                         "edge list: id too large");
-          out.max_id = std::max({out.max_id, static_cast<vidx>(u),
-                                 static_cast<vidx>(v)});
-          out.edges.push_back({static_cast<vidx>(u), static_cast<vidx>(v),
-                               static_cast<weight_t>(w)});
-        });
+  std::vector<ChunkResult> results = detail::sweep_lines<ChunkResult>(
+      text, [&](std::string_view line, ChunkResult& out) {
+        if (line.empty() || line[0] == '#' || line[0] == '%') return;
+        u64 u = 0, v = 0, w = 0;
+        std::string_view s = line;
+        ECLP_CHECK_MSG(parse_u64(s, u) && parse_u64(s, v),
+                       "edge list: malformed line: " << line);
+        // A third numeric token is a weight; trailing non-numeric noise is
+        // ignored, as the stream-based reader always did.
+        if (parse_u64(s, w)) out.weighted = true;
+        ECLP_CHECK_MSG(u < kNoVertex && v < kNoVertex,
+                       "edge list: id too large");
+        out.max_id = std::max({out.max_id, static_cast<vidx>(u),
+                               static_cast<vidx>(v)});
+        out.edges.push_back({static_cast<vidx>(u), static_cast<vidx>(v),
+                             static_cast<weight_t>(w)});
       });
 
   vidx max_id = 0;
@@ -274,7 +239,7 @@ Csr parse_edge_list(std::string_view text, bool directed, vidx num_vertices) {
 }
 
 Csr read_edge_list(std::istream& is, bool directed, vidx num_vertices) {
-  return parse_edge_list(slurp(is), directed, num_vertices);
+  return parse_edge_list(detail::slurp(is), directed, num_vertices);
 }
 
 namespace {

@@ -1,24 +1,47 @@
 // Internal helpers for chunk-parallel text-format parsing.
 //
-// The readers in io.cpp / dimacs.cpp slurp their input into one buffer,
-// split it into byte ranges aligned to line boundaries (one chunk per
-// build-pool worker), parse each chunk into a private edge buffer, and
-// append the buffers in chunk order. Concatenating the chunks in order
-// reproduces the input byte-for-byte, so the merged edge sequence equals
-// what a serial line-by-line sweep produces — the chunking is invisible in
-// the output (see docs/INGEST.md for the determinism argument).
+// The four text readers (.mtx and .el in io.cpp, .gr and .col in
+// dimacs.cpp) slurp their input into one buffer, read their header lines
+// with next_line, and hand the body to sweep_lines: it splits the body
+// into byte ranges aligned to line boundaries (one chunk per build-pool
+// worker), parses each chunk into a private edge buffer, and returns the
+// buffers in chunk order. Concatenating the chunks in order reproduces
+// the input byte-for-byte, so the merged edge sequence equals what a
+// serial line-by-line sweep produces — the chunking is invisible in the
+// output (see docs/INGEST.md for the determinism argument).
 //
 // Number scanning uses std::from_chars instead of istringstream: the
 // per-line stream construction was itself a measurable slice of ingest.
 #pragma once
 
 #include <charconv>
+#include <istream>
+#include <sstream>
+#include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "graph/builder.hpp"
+#include "support/parallel_for.hpp"
 #include "support/types.hpp"
 
 namespace eclp::graph::detail {
+
+inline std::string slurp(std::istream& is) {
+  std::ostringstream ss;
+  ss << is.rdbuf();
+  return std::move(ss).str();
+}
+
+/// Consume one line off the front of `text` (no '\n', no trailing '\r').
+inline std::string_view next_line(std::string_view& text) {
+  const usize nl = text.find('\n');
+  std::string_view line = text.substr(0, nl);
+  text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  return line;
+}
 
 /// Split `text` into at most `max_chunks` contiguous ranges whose
 /// boundaries fall on line starts. Concatenating the ranges in order
@@ -57,6 +80,31 @@ void for_each_line(std::string_view chunk, Fn&& fn) {
     fn(line);
     begin = end + 1;
   }
+}
+
+/// The chunk-parallel line sweep of every text reader: parse_line(line,
+/// out) runs for each line of `body`, where `out` is the private State of
+/// the line's chunk, and the States come back in chunk order. State is an
+/// edge buffer (std::vector<Edge>) or a struct holding one as `edges`
+/// next to per-chunk facts the reader merges afterwards.
+template <typename State = std::vector<Edge>, typename ParseLine>
+std::vector<State> sweep_lines(std::string_view body, ParseLine&& parse_line) {
+  auto* pool = build_pool();
+  const auto chunks = chunk_at_lines(body, pool == nullptr ? 1 : pool->size());
+  std::vector<State> states(chunks.size());
+  parallel_for_chunks(
+      pool, chunks.size(), chunks.size(), [&](u64 c, u64, u64, u32) {
+        State& out = states[c];
+        const usize guess = chunks[c].size() / 8 + 1;
+        if constexpr (std::is_same_v<State, std::vector<Edge>>) {
+          out.reserve(guess);
+        } else {
+          out.edges.reserve(guess);
+        }
+        for_each_line(chunks[c],
+                      [&](std::string_view line) { parse_line(line, out); });
+      });
+  return states;
 }
 
 inline void skip_spaces(std::string_view& s) {
