@@ -98,7 +98,7 @@ json::Value Request::to_json() const {
 std::vector<Request> parse_requests_jsonl(const std::string& text) {
   std::vector<Request> requests;
   usize begin = 0;
-  while (begin < text.size()) {
+  for (usize line_no = 1; begin < text.size(); ++line_no) {
     usize end = text.find('\n', begin);
     if (end == std::string::npos) end = text.size();
     std::string line = text.substr(begin, end - begin);
@@ -106,8 +106,15 @@ std::vector<Request> parse_requests_jsonl(const std::string& text) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     const usize first = line.find_first_not_of(" \t");
     if (first == std::string::npos || line[first] == '#') continue;
-    requests.push_back(
-        Request::from_json(json::Value::parse(line), requests.size()));
+    try {
+      requests.push_back(
+          Request::from_json(json::Value::parse(line), requests.size()));
+    } catch (const CheckFailure& e) {
+      // The check's own text, without its source location: this message
+      // is for whoever wrote the request file.
+      throw CheckFailure("line " + std::to_string(line_no) + ": " +
+                         std::string(e.message()));
+    }
   }
   return requests;
 }

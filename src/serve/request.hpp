@@ -59,7 +59,9 @@ struct Request {
 };
 
 /// Parse a JSONL request file body. Blank lines and lines starting with
-/// '#' are skipped; anything else must be a JSON object.
+/// '#' are skipped; anything else must be a JSON object. A bad line throws
+/// a CheckFailure whose message() starts with its 1-based line number:
+/// "line 3: unknown algo 'nope' ...".
 std::vector<Request> parse_requests_jsonl(const std::string& text);
 
 enum class Status : u8 { kOk, kRejected, kError };

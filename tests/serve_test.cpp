@@ -102,6 +102,31 @@ TEST(ServeRequest, RejectsMalformedRequests) {
                CheckFailure);
 }
 
+/// A bad line is reported by its 1-based line number (comments and blank
+/// lines count) with the check's own text and no source location.
+TEST(ServeRequest, MalformedLineErrorNamesTheLineWithoutASourcePath) {
+  const auto error_of = [](const std::string& text) {
+    try {
+      serve::parse_requests_jsonl(text);
+    } catch (const CheckFailure& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string unknown_algo = error_of(
+      "# header\n"
+      "{\"algo\": \"cc\", \"input\": \"internet\"}\n"
+      "{\"algo\": \"nope\", \"input\": \"internet\"}\n");
+  EXPECT_EQ(unknown_algo.rfind("line 3: unknown algo 'nope'", 0), 0u)
+      << unknown_algo;
+  EXPECT_EQ(unknown_algo.find(".cpp:"), std::string::npos) << unknown_algo;
+
+  const std::string bad_json = error_of(
+      "\n{\"algo\": \"cc\", \"input\": \"internet\"\n");
+  EXPECT_EQ(bad_json.rfind("line 2: JSON: ", 0), 0u) << bad_json;
+  EXPECT_EQ(bad_json.find(".cpp:"), std::string::npos) << bad_json;
+}
+
 TEST(ServeRequest, JsonRoundTrip) {
   for (const gen::Scale scale : {gen::Scale::kTiny, gen::Scale::kSmall,
                                  gen::Scale::kDefault, gen::Scale::kHuge}) {

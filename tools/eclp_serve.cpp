@@ -107,8 +107,14 @@ int main(int argc, char** argv) {
   ECLP_CHECK_MSG(is.good(), "cannot open " << cli.get("requests"));
   std::stringstream buffer;
   buffer << is.rdbuf();
-  std::vector<serve::Request> requests =
-      serve::parse_requests_jsonl(buffer.str());
+  std::vector<serve::Request> requests;
+  try {
+    requests = serve::parse_requests_jsonl(buffer.str());
+  } catch (const CheckFailure& e) {
+    std::fprintf(stderr, "eclp-serve: %s: %.*s\n", cli.get("requests").c_str(),
+                 static_cast<int>(e.message().size()), e.message().data());
+    return 2;
+  }
   ECLP_CHECK_MSG(!requests.empty(),
                  cli.get("requests") << " contains no requests");
   if (cli.get_flag("verify")) {
