@@ -1,5 +1,6 @@
 #include "graph/pool.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "support/check.hpp"
@@ -11,7 +12,18 @@ u64 graph_bytes(const Csr& g) {
          g.weights().size_bytes();
 }
 
-Pool::Pool(u64 byte_budget) : budget_(byte_budget) {}
+Pool::Pool(u64 byte_budget, metrics::Registry* registry)
+    : budget_(byte_budget) {
+  if (registry == nullptr) {
+    own_metrics_ = std::make_unique<metrics::Registry>();
+    registry = own_metrics_.get();
+  }
+  m_hits_ = &registry->counter("pool.hits");
+  m_misses_ = &registry->counter("pool.misses");
+  m_evictions_ = &registry->counter("pool.evictions");
+  m_bytes_ = &registry->gauge("pool.bytes");
+  m_entries_ = &registry->gauge("pool.entries");
+}
 
 Pool::~Pool() {
   std::lock_guard<std::mutex> lk(mutex_);
@@ -23,24 +35,13 @@ Pool::~Pool() {
   }
 }
 
-void Pool::bind_metrics(metrics::Registry& registry) {
-  std::lock_guard<std::mutex> lk(mutex_);
-  m_hits_ = &registry.counter("pool.hits");
-  m_misses_ = &registry.counter("pool.misses");
-  m_evictions_ = &registry.counter("pool.evictions");
-  m_bytes_ = &registry.gauge("pool.bytes");
-  m_entries_ = &registry.gauge("pool.entries");
-  m_bytes_->set(static_cast<i64>(bytes_));
-  m_entries_->set(static_cast<i64>(entries_.size()));
-}
-
 Pool::Pin Pool::acquire(const std::string& key,
                         const std::function<Csr()>& build) {
   std::unique_lock<std::mutex> lk(mutex_);
-  // A request is counted when it is classified as a hit or a miss — under
-  // the same lock hold — so stats() observers see hits + misses == requests
-  // at every instant, including while builds (or failed-build retries) are
-  // in flight.
+  // A request is counted when it is classified as a hit or a miss, under
+  // the lock stats() reads under, so stats() observers see hits + misses ==
+  // requests at every instant, including while builds (or failed-build
+  // retries) are in flight.
   for (;;) {
     auto it = entries_.find(key);
     if (it != entries_.end()) {
@@ -56,9 +57,7 @@ Pool::Pin Pool::acquire(const std::string& key,
       }
       e->pins++;
       e->last_use = ++clock_;
-      stats_.requests++;
-      stats_.hits++;
-      if (m_hits_ != nullptr) m_hits_->inc();
+      m_hits_->inc();
       Pin pin;
       pin.pool_ = this;
       pin.entry_ = e;
@@ -74,10 +73,8 @@ Pool::Pin Pool::acquire(const std::string& key,
     placeholder->pins = 1;
     Entry* e = entries_.emplace(key, std::move(placeholder))
                    .first->second.get();
-    stats_.requests++;
-    stats_.misses++;
-    if (m_misses_ != nullptr) m_misses_->inc();
-    if (m_entries_ != nullptr) m_entries_->set(static_cast<i64>(entries_.size()));
+    m_misses_->inc();
+    m_entries_->set(static_cast<i64>(entries_.size()));
     lk.unlock();
     Csr g;
     try {
@@ -85,9 +82,7 @@ Pool::Pin Pool::acquire(const std::string& key,
     } catch (...) {
       lk.lock();
       entries_.erase(key);
-      if (m_entries_ != nullptr) {
-        m_entries_->set(static_cast<i64>(entries_.size()));
-      }
+      m_entries_->set(static_cast<i64>(entries_.size()));
       built_cv_.notify_all();
       throw;
     }
@@ -97,9 +92,8 @@ Pool::Pin Pool::acquire(const std::string& key,
     e->bytes = graph_bytes(*shared);
     e->building = false;
     e->last_use = ++clock_;
-    bytes_ += e->bytes;
-    if (bytes_ > stats_.peak_bytes) stats_.peak_bytes = bytes_;
-    if (m_bytes_ != nullptr) m_bytes_->set(static_cast<i64>(bytes_));
+    m_bytes_->add(static_cast<i64>(e->bytes));
+    peak_bytes_ = std::max(peak_bytes_, static_cast<u64>(m_bytes_->value()));
     evict_to_budget_locked();
     built_cv_.notify_all();
     Pin pin;
@@ -122,7 +116,7 @@ void Pool::release(Entry* e) {
 }
 
 void Pool::evict_to_budget_locked() {
-  while (bytes_ > budget_) {
+  while (static_cast<u64>(m_bytes_->value()) > budget_) {
     Entry* victim = nullptr;
     for (const auto& [key, e] : entries_) {
       if (e->pins != 0 || e->building) continue;  // never evict pinned
@@ -132,22 +126,22 @@ void Pool::evict_to_budget_locked() {
     }
     if (victim == nullptr) return;  // everything resident is pinned
     ECLP_CHECK(victim->pins == 0);
-    bytes_ -= victim->bytes;
-    stats_.evictions++;
+    m_bytes_->sub(static_cast<i64>(victim->bytes));
+    m_evictions_->inc();
     entries_.erase(victim->key);
-    if (m_evictions_ != nullptr) m_evictions_->inc();
-    if (m_bytes_ != nullptr) m_bytes_->set(static_cast<i64>(bytes_));
-    if (m_entries_ != nullptr) m_entries_->set(static_cast<i64>(entries_.size()));
+    m_entries_->set(static_cast<i64>(entries_.size()));
   }
 }
 
 PoolStats Pool::stats() const {
   std::lock_guard<std::mutex> lk(mutex_);
-  PoolStats s = stats_;
-  s.bytes = bytes_;
-  s.entries = 0;
-  s.pinned = 0;
-  s.pins = 0;
+  PoolStats s;
+  s.hits = m_hits_->value();
+  s.misses = m_misses_->value();
+  s.requests = s.hits + s.misses;
+  s.evictions = m_evictions_->value();
+  s.bytes = static_cast<u64>(m_bytes_->value());
+  s.peak_bytes = peak_bytes_;
   for (const auto& [key, e] : entries_) {
     s.entries++;
     if (e->pins > 0) s.pinned++;

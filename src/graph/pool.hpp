@@ -22,6 +22,12 @@
 //  * Eviction only ever considers entries with zero pins. Pinned bytes can
 //    therefore exceed the budget transiently; the pool returns under the
 //    budget as pins drop (checked again on every release).
+//
+// Counting: the pool's metrics instruments (pool.{hits,misses,evictions}
+// counters, pool.{bytes,entries} gauges) are its only tally. They live in
+// the registry passed at construction (or one the pool owns), move under
+// the pool lock, and stats() reads them under that same lock — so a
+// telemetry snapshot and stats() report one set of numbers.
 #pragma once
 
 #include <condition_variable>
@@ -41,12 +47,12 @@ namespace eclp::graph {
 /// noise at graph sizes). The quantity the pool's byte budget meters.
 u64 graph_bytes(const Csr& g);
 
-/// Pool observability. hits + misses == requests always holds — even in a
-/// snapshot taken while builds (or failed-build retries) are in flight:
-/// a request is counted at the instant it is classified, as the miss that
-/// builds the entry or as a hit on a resident (or in-flight) one. An
-/// acquire whose build throws counts as a miss; a waiter that retries
-/// after a failed build is classified once, by its final outcome.
+/// Pool observability, read from the pool's instruments. hits + misses ==
+/// requests holds by construction: a request is counted at the instant it
+/// is classified, as the miss that builds the entry or as a hit on a
+/// resident (or in-flight) one. An acquire whose build throws counts as a
+/// miss; a waiter that retries after a failed build is classified once,
+/// by its final outcome.
 struct PoolStats {
   u64 requests = 0;   ///< classified acquire() calls (== hits + misses)
   u64 hits = 0;       ///< served from a resident or in-flight entry
@@ -63,8 +69,11 @@ class Pool {
  public:
   /// `byte_budget` caps resident payload bytes (graph_bytes sums). 0 means
   /// "no sharing": every acquire still works, but entries are dropped as
-  /// soon as the last pin releases.
-  explicit Pool(u64 byte_budget);
+  /// soon as the last pin releases. The pool registers its instruments in
+  /// `registry` (which must outlive it and count for this pool alone), or
+  /// in a registry of its own when null (docs/OBSERVABILITY.md, "Runtime
+  /// telemetry").
+  explicit Pool(u64 byte_budget, metrics::Registry* registry = nullptr);
   ~Pool();
 
   Pool(const Pool&) = delete;
@@ -79,13 +88,6 @@ class Pool {
   Pin acquire(const std::string& key, const std::function<Csr()>& build);
 
   u64 byte_budget() const { return budget_; }
-
-  /// Mirror the pool's bookkeeping into live metrics instruments:
-  /// counters `pool.hits` / `pool.misses` / `pool.evictions` and gauges
-  /// `pool.bytes` / `pool.entries`, updated at classification/eviction
-  /// time under the pool lock (docs/OBSERVABILITY.md, "Runtime
-  /// telemetry"). Call before serving; the registry must outlive the pool.
-  void bind_metrics(metrics::Registry& registry);
 
   PoolStats stats() const;
   /// True when `key` is resident (test/introspection helper; the answer
@@ -103,26 +105,23 @@ class Pool {
   };
 
   void release(Entry* e);
-  /// Evict zero-pin entries, oldest first, until `bytes_ <= budget_` or
-  /// nothing evictable remains. Caller holds mutex_.
+  /// Evict zero-pin entries, oldest first, until resident bytes fit the
+  /// budget or nothing evictable remains. Caller holds mutex_.
   void evict_to_budget_locked();
 
-  // Optional live instruments (all null until bind_metrics). Counters are
-  // bumped where PoolStats is, gauges track bytes_/entries_ whenever they
-  // move — so a telemetry snapshot sees the same numbers stats() reports.
-  metrics::Counter* m_hits_ = nullptr;
-  metrics::Counter* m_misses_ = nullptr;
-  metrics::Counter* m_evictions_ = nullptr;
-  metrics::Gauge* m_bytes_ = nullptr;
-  metrics::Gauge* m_entries_ = nullptr;
-
   const u64 budget_;
+  std::unique_ptr<metrics::Registry> own_metrics_;  ///< when none was given
+  // The pool's tally: written and read only under mutex_.
+  metrics::Counter* m_hits_;
+  metrics::Counter* m_misses_;
+  metrics::Counter* m_evictions_;
+  metrics::Gauge* m_bytes_;    ///< resident payload bytes
+  metrics::Gauge* m_entries_;  ///< entries_.size()
   mutable std::mutex mutex_;
   std::condition_variable built_cv_;
   std::unordered_map<std::string, std::unique_ptr<Entry>> entries_;
   u64 clock_ = 0;
-  u64 bytes_ = 0;
-  PoolStats stats_;
+  u64 peak_bytes_ = 0;  ///< high-water mark of m_bytes_
 
   friend class Pin;
 };

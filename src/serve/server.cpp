@@ -32,12 +32,38 @@ std::string sanitize_for_filename(const std::string& id) {
 
 }  // namespace
 
+Server::Instruments::Instruments(metrics::Registry& m)
+    : submitted(&m.counter("serve.submitted")),
+      accepted(&m.counter("serve.accepted")),
+      rejected(&m.counter("serve.rejected")),
+      completed(&m.counter("serve.completed")),
+      failed(&m.counter("serve.failed")),
+      waves(&m.counter("serve.waves")),
+      slow(&m.counter("serve.slow")),
+      queue_depth(&m.gauge("serve.queue.depth")),
+      queue_peak(&m.gauge("serve.queue.peak")),
+      inflight(&m.gauge("serve.inflight")),
+      wave_us(&m.histogram("serve.wave_us")),
+      latency_us{} {
+  for (const Algo a :
+       {Algo::kCc, Algo::kGc, Algo::kMis, Algo::kMst, Algo::kScc}) {
+    latency_us[static_cast<usize>(a)] =
+        &m.histogram(std::string("serve.latency_us.") + algo_name(a));
+  }
+}
+
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       clock_(options_.clock_ns ? options_.clock_ns
                                : ClockFn([] { return monotonic_ns(); })),
+      own_metrics_(options_.metrics != nullptr
+                       ? nullptr
+                       : std::make_unique<metrics::Registry>()),
+      metrics_(options_.metrics != nullptr ? *options_.metrics
+                                           : *own_metrics_),
+      inst_(metrics_),
       threads_(clamp_worker_count(options_.threads)),
-      graphs_(options_.graph_pool_bytes) {
+      graphs_(options_.graph_pool_bytes, &metrics_) {
   if (!options_.profile_dir.empty()) {
     std::filesystem::create_directories(options_.profile_dir);
   }
@@ -46,26 +72,6 @@ Server::Server(ServerOptions options)
     ECLP_CHECK_MSG(!options_.slow_dir.empty(),
                    "slow_ms needs slow_dir (or profile_dir) for artifacts");
     std::filesystem::create_directories(options_.slow_dir);
-  }
-  if (options_.metrics != nullptr) {
-    metrics::Registry& m = *options_.metrics;
-    inst_.submitted = &m.counter("serve.submitted");
-    inst_.accepted = &m.counter("serve.accepted");
-    inst_.rejected = &m.counter("serve.rejected");
-    inst_.completed = &m.counter("serve.completed");
-    inst_.failed = &m.counter("serve.failed");
-    inst_.waves = &m.counter("serve.waves");
-    inst_.slow = &m.counter("serve.slow");
-    inst_.queue_depth = &m.gauge("serve.queue.depth");
-    inst_.queue_peak = &m.gauge("serve.queue.peak");
-    inst_.inflight = &m.gauge("serve.inflight");
-    inst_.wave_us = &m.histogram("serve.wave_us");
-    for (const Algo a :
-         {Algo::kCc, Algo::kGc, Algo::kMis, Algo::kMst, Algo::kScc}) {
-      inst_.latency_us[static_cast<usize>(a)] =
-          &m.histogram(std::string("serve.latency_us.") + algo_name(a));
-    }
-    graphs_.bind_metrics(m);
   }
   if (!options_.manual_start) start();
 }
@@ -92,11 +98,9 @@ void Server::start() {
 
 std::future<Response> Server::submit(Request req) {
   std::unique_lock<std::mutex> lk(mutex_);
-  stats_.submitted++;
-  if (inst_.submitted != nullptr) inst_.submitted->inc();
+  inst_.submitted->inc();
   if (pending_.size() >= options_.max_queue) {
-    stats_.rejected++;
-    if (inst_.rejected != nullptr) inst_.rejected->inc();
+    inst_.rejected->inc();
     Response r;
     r.id = req.id;
     r.algo = req.algo;
@@ -115,8 +119,7 @@ std::future<Response> Server::submit(Request req) {
     p.set_value(std::move(r));
     return p.get_future();
   }
-  stats_.accepted++;
-  if (inst_.accepted != nullptr) inst_.accepted->inc();
+  inst_.accepted->inc();
   Job job;
   job.request = std::move(req);
   job.submit_ns = now_ns();
@@ -131,10 +134,8 @@ std::future<Response> Server::submit(Request req) {
 std::future<Response> Server::enqueue(Request req) {
   std::unique_lock<std::mutex> lk(mutex_);
   space_cv_.wait(lk, [&] { return pending_.size() < options_.max_queue; });
-  stats_.submitted++;
-  stats_.accepted++;
-  if (inst_.submitted != nullptr) inst_.submitted->inc();
-  if (inst_.accepted != nullptr) inst_.accepted->inc();
+  inst_.submitted->inc();
+  inst_.accepted->inc();
   Job job;
   job.request = std::move(req);
   job.submit_ns = now_ns();
@@ -149,16 +150,9 @@ std::future<Response> Server::enqueue(Request req) {
 /// Shared admission bookkeeping (caller holds mutex_, job not yet queued):
 /// queue depth/high-water accounting and the "admitted" trace event.
 void Server::admit_locked(Job& job) {
-  stats_.queue_depth = pending_.size() + 1;
-  if (stats_.queue_depth > stats_.queue_peak) {
-    stats_.queue_peak = stats_.queue_depth;
-  }
-  if (inst_.queue_depth != nullptr) {
-    inst_.queue_depth->set(static_cast<i64>(stats_.queue_depth));
-  }
-  if (inst_.queue_peak != nullptr) {
-    inst_.queue_peak->set(static_cast<i64>(stats_.queue_peak));
-  }
+  const i64 depth = static_cast<i64>(pending_.size()) + 1;
+  inst_.queue_depth->set(depth);
+  if (depth > inst_.queue_peak->value()) inst_.queue_peak->set(depth);
   if (options_.trace != nullptr) {
     job.traced = true;
     job.trace = options_.trace->open(job.request.id);
@@ -188,10 +182,7 @@ void Server::worker_main() {
     if (pending_.empty()) return;  // only reachable when stopping
     Job job = std::move(pending_.front());
     pending_.pop_front();
-    stats_.queue_depth = pending_.size();
-    if (inst_.queue_depth != nullptr) {
-      inst_.queue_depth->set(static_cast<i64>(stats_.queue_depth));
-    }
+    inst_.queue_depth->set(static_cast<i64>(pending_.size()));
     ++running_;
     if (!in_wave_) {
       in_wave_ = true;
@@ -202,22 +193,14 @@ void Server::worker_main() {
     // execute() never throws: errors become Status::kError responses.
     Response r = execute(job);
     lk.lock();
-    if (r.status == Status::kOk) {
-      stats_.completed++;
-      if (inst_.completed != nullptr) inst_.completed->inc();
-    } else {
-      stats_.failed++;
-      if (inst_.failed != nullptr) inst_.failed->inc();
-    }
+    (r.status == Status::kOk ? inst_.completed : inst_.failed)->inc();
     // The busy period closes with its last request, and is recorded before
     // that response resolves: a caller that saw every response sees every
     // wave.
     if (--running_ == 0 && pending_.empty()) {
       in_wave_ = false;
-      if (inst_.waves != nullptr) inst_.waves->inc();
-      if (inst_.wave_us != nullptr) {
-        inst_.wave_us->observe((now_ns() - wave_start_ns_) / 1000);
-      }
+      inst_.waves->inc();
+      inst_.wave_us->observe((now_ns() - wave_start_ns_) / 1000);
     }
     lk.unlock();
     job.promise.set_value(std::move(r));
@@ -254,7 +237,7 @@ Response Server::execute(const Job& job) {
   r.id = req.id;
   r.algo = req.algo;
   r.graph = req.graph_label();
-  if (inst_.inflight != nullptr) inst_.inflight->add(1);
+  inst_.inflight->add(1);
   if (job.traced) options_.trace->emit(job.trace, "started");
   try {
     graph::Pool::Pin pin =
@@ -306,7 +289,7 @@ Response Server::execute(const Job& job) {
     if (options_.slow_ms >= 0.0 &&
         static_cast<double>(now_ns() - job.submit_ns) / 1e6 >
             options_.slow_ms) {
-      if (inst_.slow != nullptr) inst_.slow->inc();
+      inst_.slow->inc();
       if (session != nullptr && !profiled) {
         session->set_output(options_.slow_dir + "/" +
                             sanitize_for_filename(req.id) + ".json");
@@ -324,11 +307,9 @@ Response Server::execute(const Job& job) {
     r.error = e.what();
   }
   r.wall_ms = static_cast<double>(now_ns() - job.submit_ns) / 1e6;
-  if (inst_.latency_us[static_cast<usize>(req.algo)] != nullptr) {
-    inst_.latency_us[static_cast<usize>(req.algo)]->observe(
-        static_cast<u64>(r.wall_ms * 1e3));
-  }
-  if (inst_.inflight != nullptr) inst_.inflight->sub(1);
+  inst_.latency_us[static_cast<usize>(req.algo)]->observe(
+      static_cast<u64>(r.wall_ms * 1e3));
+  inst_.inflight->sub(1);
   if (job.traced) {
     json::Value fields = json::Value::object();
     fields.set("status", status_name(r.status));
@@ -344,7 +325,13 @@ ServerStats Server::stats() const {
   ServerStats s;
   {
     std::lock_guard<std::mutex> lk(mutex_);
-    s = stats_;
+    s.submitted = inst_.submitted->value();
+    s.accepted = inst_.accepted->value();
+    s.rejected = inst_.rejected->value();
+    s.completed = inst_.completed->value();
+    s.failed = inst_.failed->value();
+    s.queue_depth = static_cast<u64>(inst_.queue_depth->value());
+    s.queue_peak = static_cast<u64>(inst_.queue_peak->value());
   }
   s.graphs = graphs_.stats();
   return s;

@@ -24,12 +24,18 @@
 // enqueue()/serve() apply backpressure instead (block until space). At
 // most `threads` requests execute at once, so a flooded server degrades
 // by rejecting, not by queue growth.
+//
+// Counting: the server's metrics instruments (serve.* here, pool.* in the
+// graph pool) are its only tally, always live. stats() reads them under
+// the lock their increments hold, so --stats-json and an eclp.metrics
+// snapshot are two renderings of one set of numbers.
 #pragma once
 
 #include <array>
 #include <condition_variable>
 #include <deque>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -56,17 +62,19 @@ struct ServerOptions {
   /// Do not start the workers in the constructor; callers fill the queue
   /// first and call start(). Deterministic admission for tests.
   bool manual_start = false;
-  /// When set, the server registers its instruments here (and binds the
-  /// graph pool's): counters serve.{submitted,accepted,rejected,completed,
-  /// failed,waves,slow} and pool.{hits,misses,evictions}, gauges
-  /// serve.queue.{depth,peak} / serve.inflight / pool.{bytes,entries},
-  /// histograms serve.wave_us and serve.latency_us.<algo>. Must outlive
-  /// the server. A "wave" is a busy period: it opens when a worker takes a
-  /// request from an idle server and closes when the last in-flight
-  /// request finishes with the queue empty. It is recorded before that
-  /// request's response resolves, so wave metrics are complete once the
-  /// last response resolves. See docs/OBSERVABILITY.md, "Runtime
-  /// telemetry".
+  /// The registry the server and its graph pool count in: counters
+  /// serve.{submitted,accepted,rejected,completed,failed,waves,slow} and
+  /// pool.{hits,misses,evictions}, gauges serve.queue.{depth,peak} /
+  /// serve.inflight / pool.{bytes,entries}, histograms serve.wave_us and
+  /// serve.latency_us.<algo>. Null = a registry the server owns; counting
+  /// is on either way, and stats() reads these instruments. A registry
+  /// given here serves exactly one server (a second would add into the
+  /// first's counts) and must outlive it. A "wave" is a busy period: it
+  /// opens when a worker takes a request from an idle server and closes
+  /// when the last in-flight request finishes with the queue empty. It is
+  /// recorded before that request's response resolves, so wave metrics
+  /// are complete once the last response resolves. See
+  /// docs/OBSERVABILITY.md, "Runtime telemetry".
   metrics::Registry* metrics = nullptr;
   /// When set, every request's lifecycle is traced (admitted/rejected/
   /// started/pool/finished events). Must outlive the server.
@@ -84,6 +92,7 @@ struct ServerOptions {
   ClockFn clock_ns;
 };
 
+/// A read of the server's instruments (see ServerOptions::metrics).
 struct ServerStats {
   u64 submitted = 0;    ///< submit/enqueue calls
   u64 accepted = 0;     ///< admitted to the queue
@@ -139,24 +148,25 @@ class Server {
     bool traced = false;  ///< a trace was opened at admission
   };
 
-  /// Live instruments, pre-registered in the constructor so every metric
-  /// name exists (at zero) before the first request — snapshots then do
-  /// not depend on which algorithms a workload happened to run. All null
-  /// when ServerOptions::metrics is null.
+  /// Live instruments, registered in the constructor so every metric name
+  /// exists (at zero) before the first request — snapshots then do not
+  /// depend on which algorithms a workload happened to run. The counters
+  /// and queue gauges move only under mutex_.
   struct Instruments {
-    metrics::Counter* submitted = nullptr;
-    metrics::Counter* accepted = nullptr;
-    metrics::Counter* rejected = nullptr;
-    metrics::Counter* completed = nullptr;
-    metrics::Counter* failed = nullptr;
-    metrics::Counter* waves = nullptr;
-    metrics::Counter* slow = nullptr;
-    metrics::Gauge* queue_depth = nullptr;
-    metrics::Gauge* queue_peak = nullptr;
-    metrics::Gauge* inflight = nullptr;
-    metrics::Histogram* wave_us = nullptr;
+    explicit Instruments(metrics::Registry& m);
+    metrics::Counter* submitted;
+    metrics::Counter* accepted;
+    metrics::Counter* rejected;
+    metrics::Counter* completed;
+    metrics::Counter* failed;
+    metrics::Counter* waves;
+    metrics::Counter* slow;
+    metrics::Gauge* queue_depth;
+    metrics::Gauge* queue_peak;
+    metrics::Gauge* inflight;
+    metrics::Histogram* wave_us;
     /// Per-algorithm request latency, indexed by Algo.
-    std::array<metrics::Histogram*, 5> latency_us = {};
+    std::array<metrics::Histogram*, 5> latency_us;
   };
 
   void worker_main();
@@ -166,6 +176,8 @@ class Server {
 
   ServerOptions options_;
   ClockFn clock_;        ///< resolved: options_.clock_ns or monotonic_ns
+  std::unique_ptr<metrics::Registry> own_metrics_;  ///< when none was given
+  metrics::Registry& metrics_;  ///< options_.metrics or own_metrics_
   Instruments inst_;
   u32 threads_;          ///< resolved options_.threads
   graph::Pool graphs_;   ///< shared ref-counted CSR pool
@@ -179,7 +191,6 @@ class Server {
   u64 wave_start_ns_ = 0;
   bool stop_ = false;
   bool started_ = false;
-  ServerStats stats_;
   std::vector<std::thread> workers_;
 };
 

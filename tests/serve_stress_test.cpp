@@ -31,6 +31,7 @@
 #include "graph/builder.hpp"
 #include "graph/pool.hpp"
 #include "serve/server.hpp"
+#include "support/metrics.hpp"
 
 namespace eclp {
 namespace {
@@ -193,10 +194,12 @@ TEST(ServeStress, StatsInvariantHoldsWhileAFailedBuildIsInFlight) {
 /// requests continuously rebuild, share, and evict graphs while the
 /// server's workers run them concurrently.
 TEST(ServeStress, ServerHandlesConcurrentMixedLoadWithTinyPool) {
+  metrics::Registry registry;
   serve::ServerOptions opt;
   opt.threads = 4;
   opt.max_queue = 1024;
   opt.graph_pool_bytes = 64 << 10;  // ~one tiny suite graph: forces eviction
+  opt.metrics = &registry;
   serve::Server server(opt);
 
   struct Spec {
@@ -266,6 +269,26 @@ TEST(ServeStress, ServerHandlesConcurrentMixedLoadWithTinyPool) {
   EXPECT_EQ(s.graphs.pinned, 0u);
   EXPECT_GE(s.graphs.evictions, 1u);  // the tiny budget actually evicted
   EXPECT_LE(s.graphs.bytes, opt.graph_pool_bytes);
+
+  // stats() is a read of the bound registry: one tally, two renderings.
+  const auto counter = [&](const char* name) {
+    return registry.counter(name).value();
+  };
+  const auto gauge = [&](const char* name) {
+    return static_cast<u64>(registry.gauge(name).value());
+  };
+  EXPECT_EQ(s.submitted, counter("serve.submitted"));
+  EXPECT_EQ(s.accepted, counter("serve.accepted"));
+  EXPECT_EQ(s.rejected, counter("serve.rejected"));
+  EXPECT_EQ(s.completed, counter("serve.completed"));
+  EXPECT_EQ(s.failed, counter("serve.failed"));
+  EXPECT_EQ(s.queue_depth, gauge("serve.queue.depth"));
+  EXPECT_EQ(s.queue_peak, gauge("serve.queue.peak"));
+  EXPECT_EQ(s.graphs.hits, counter("pool.hits"));
+  EXPECT_EQ(s.graphs.misses, counter("pool.misses"));
+  EXPECT_EQ(s.graphs.evictions, counter("pool.evictions"));
+  EXPECT_EQ(s.graphs.bytes, gauge("pool.bytes"));
+  EXPECT_EQ(s.graphs.entries, gauge("pool.entries"));
 }
 
 /// submit() under storm: some requests bounce off the admission bound,
