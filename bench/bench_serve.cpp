@@ -11,11 +11,9 @@
 //   3. serve_eviction — the same stream against a pool whose byte budget
 //      forces continuous eviction, quantifying what the pool budget is
 //      worth (hit rate and throughput vs. the unconstrained pool);
-//   4. serve_telemetry_overhead — warm-pool throughput with telemetry off,
-//      with the metrics registry bound, and with metrics + request tracing,
-//      measured as paired alternating rounds (the acceptance bar for the
-//      telemetry subsystem is <= 5% on the metrics row).
-#include <algorithm>
+//   4. serve_telemetry_overhead — warm-pool throughput with the always-on
+//      metrics (the baseline) and with metrics + request tracing, measured
+//      as paired alternating rounds.
 #include <memory>
 #include <vector>
 
@@ -24,7 +22,7 @@
 #include "harness/harness.hpp"
 #include "serve/server.hpp"
 #include "serve/telemetry.hpp"
-#include "support/metrics.hpp"
+#include "support/stats.hpp"
 #include "support/timer.hpp"
 
 using namespace eclp;
@@ -45,13 +43,6 @@ serve::Request make_request(const std::string& id, serve::Algo algo,
   r.input = input;
   r.scale = scale;
   return r;
-}
-
-double percentile(std::vector<double> v, double p) {
-  ECLP_CHECK(!v.empty());
-  std::sort(v.begin(), v.end());
-  const auto idx = static_cast<usize>(p * static_cast<double>(v.size() - 1));
-  return v[idx];
 }
 
 double req_per_sec(usize requests, double ms) {
@@ -100,7 +91,7 @@ int main(int argc, char** argv) {
                        warm[i].id << ": warm result diverged from cold");
       }
     }
-    const double warm_ms = percentile(warm_ms_runs, 0.5);
+    const double warm_ms = stats::percentile(warm_ms_runs, 50);
 
     const auto stats = server.stats();
     const double hit_rate =
@@ -147,8 +138,8 @@ int main(int argc, char** argv) {
       t.add_row({std::to_string(stream.size()), std::to_string(threads),
                  fmt::fixed(total_ms, 2),
                  fmt::fixed(req_per_sec(stream.size(), total_ms), 1),
-                 fmt::fixed(percentile(latencies, 0.5), 2),
-                 fmt::fixed(percentile(latencies, 0.99), 2),
+                 fmt::fixed(stats::percentile(latencies, 50), 2),
+                 fmt::fixed(stats::percentile(latencies, 99), 2),
                  fmt::fixed(100.0 * static_cast<double>(stats.graphs.hits) /
                                 static_cast<double>(stats.graphs.requests),
                             1) + "%"});
@@ -197,10 +188,10 @@ int main(int argc, char** argv) {
     Table t("Serving: telemetry overhead on a warm pool, mixed stream");
     t.set_header({"Telemetry", "Requests", "median ms", "req/s", "overhead"});
 
-    // The sharded counters and per-trace event buffers are the only new
-    // work on the request path, so the honest measurement is the hot one:
-    // a warm pool (no graph builds to hide behind) and the same mixed
-    // stream as the latency table.
+    // Metrics are always counted, so the per-trace event buffers are the
+    // only optional work on the request path; the honest measurement is the
+    // hot one: a warm pool (no graph builds to hide behind) and the same
+    // mixed stream as the latency table.
     const serve::Algo algos[] = {serve::Algo::kCc, serve::Algo::kGc,
                                  serve::Algo::kMis};
     std::vector<serve::Request> stream;
@@ -212,29 +203,25 @@ int main(int argc, char** argv) {
 
     struct Config {
       const char* label;
-      std::unique_ptr<metrics::Registry> registry;
       std::unique_ptr<serve::TraceLog> trace;
       std::unique_ptr<serve::Server> server;
       std::vector<double> round_ms;
     };
-    Config configs[3];
-    configs[0].label = "off";
-    configs[1].label = "metrics";
-    configs[2].label = "metrics+trace";
+    Config configs[2];
+    configs[0].label = "metrics";
+    configs[1].label = "metrics+trace";
     for (usize i = 0; i < std::size(configs); ++i) {
       auto& c = configs[i];
-      if (i >= 1) c.registry = std::make_unique<metrics::Registry>();
-      if (i >= 2) c.trace = std::make_unique<serve::TraceLog>();
+      if (i >= 1) c.trace = std::make_unique<serve::TraceLog>();
       serve::ServerOptions opt;
       opt.threads = 4;
-      opt.metrics = c.registry.get();
       opt.trace = c.trace.get();
       c.server = std::make_unique<serve::Server>(opt);
       c.server->serve(stream);  // warm-up: populate this server's pool
     }
 
     // Alternate one timed round per config within each repetition, so any
-    // machine drift lands on all three configurations equally; report the
+    // machine drift lands on both configurations equally; report the
     // per-config median over --runs.
     for (int run = 0; run < ctx.runs; ++run) {
       for (auto& c : configs) {
@@ -248,14 +235,14 @@ int main(int argc, char** argv) {
       }
     }
 
-    const double off_ms = percentile(configs[0].round_ms, 0.5);
+    const double base_ms = stats::percentile(configs[0].round_ms, 50);
     for (auto& c : configs) {
-      const double ms = percentile(c.round_ms, 0.5);
-      const double overhead = 100.0 * (ms / off_ms - 1.0);
+      const double ms = stats::percentile(c.round_ms, 50);
+      const double overhead = 100.0 * (ms / base_ms - 1.0);
       t.add_row({c.label, std::to_string(stream.size()), fmt::fixed(ms, 2),
                  fmt::fixed(req_per_sec(stream.size(), ms), 1),
-                 c.registry == nullptr ? "baseline"
-                                       : fmt::signed_pct(overhead) + "%"});
+                 c.trace == nullptr ? "baseline"
+                                    : fmt::signed_pct(overhead) + "%"});
     }
     harness::emit(ctx, "serve_telemetry_overhead", t);
   }
