@@ -3,10 +3,14 @@
 // Pins the modeled numbers of ECL-SCC across the launch geometries its
 // propagation kernel maps arcs onto threads with: `threads_per_block`
 // {64, 256, 1024} x `edges_per_thread` {1, 3}, with the modeled LLC off and
-// on, on the tiny `toroid-hex` and `cold-flow` meshes. Each line records
-// modeled cycles, every atomic-outcome count, the propagation launches per
-// outer round, and a checksum of the Figure-1 block series, so a change to
-// how scc_propagate sweeps its blocks cannot shift any of them unnoticed.
+// on, on the tiny `toroid-hex`, `cold-flow` and `star` meshes and on
+// `toroid-hex` relabelled at random (most of its arcs then cross blocks, so
+// most readers of a vertex are foreign to its home block; `star`'s hub is
+// read by every block). One more line per mesh runs with trimming on. Each
+// line records modeled cycles, every atomic-outcome count, the propagation
+// launches per outer round, and a checksum of the Figure-1 block series, so
+// a change to how scc_propagate sweeps its blocks cannot shift any of them
+// unnoticed.
 //
 // Regenerate the golden file after an *intentional* modeling change:
 //   ECLP_UPDATE_GOLDEN=1 ./eclp_tests --gtest_filter='SccShapes.*'
@@ -20,12 +24,15 @@
 
 #include "algos/scc/ecl_scc.hpp"
 #include "gen/suite.hpp"
+#include "graph/reorder.hpp"
 #include "sim/device.hpp"
 
 namespace eclp {
 namespace {
 
-constexpr const char* kInputs[] = {"toroid-hex", "cold-flow"};
+/// Suite meshes, optionally relabelled: "<input>" or "<input>@<reorder>".
+constexpr const char* kInputs[] = {"toroid-hex", "cold-flow", "star",
+                                   "toroid-hex@random:1"};
 constexpr u32 kThreadsPerBlock[] = {64, 256, 1024};
 constexpr u32 kEdgesPerThread[] = {1, 3};
 
@@ -38,8 +45,17 @@ u64 fnv1a(const std::string& s) {
   return hash;
 }
 
+graph::Csr make_input(const std::string& input) {
+  const usize at = input.find('@');
+  const graph::Csr g =
+      gen::find_input(input.substr(0, at)).make(gen::Scale::kTiny);
+  if (at == std::string::npos) return g;
+  return graph::apply_reorder(
+      g, graph::ReorderSpec::parse(input.substr(at + 1)));
+}
+
 std::string shape_line(const std::string& input, const graph::Csr& g, u32 tpb,
-                       u32 ept, bool llc) {
+                       u32 ept, bool llc, bool trim = false) {
   sim::CostModel cost;
   cost.cache.enabled = llc;
   sim::Device dev(cost);
@@ -47,10 +63,12 @@ std::string shape_line(const std::string& input, const graph::Csr& g, u32 tpb,
   opt.threads_per_block = tpb;
   opt.edges_per_thread = ept;
   opt.record_series = true;
+  opt.trim = trim;
   const auto res = algos::scc::run(dev, g, opt);
 
   std::ostringstream os;
   os << input << " tpb=" << tpb << " ept=" << ept << " llc=" << (llc ? 1 : 0)
+     << (trim ? " trim=true" : "")
      << " cycles=" << dev.total_cycles() << " launches="
      << dev.kernel_launches();
   for (usize o = 0; o < static_cast<usize>(sim::AtomicOutcome::kCount_); ++o) {
@@ -69,7 +87,7 @@ std::string shape_line(const std::string& input, const graph::Csr& g, u32 tpb,
 std::vector<std::string> collect() {
   std::vector<std::string> lines;
   for (const char* input : kInputs) {
-    const graph::Csr g = gen::find_input(input).make(gen::Scale::kTiny);
+    const graph::Csr g = make_input(input);
     for (const u32 tpb : kThreadsPerBlock) {
       for (const u32 ept : kEdgesPerThread) {
         for (const bool llc : {false, true}) {
@@ -77,6 +95,7 @@ std::vector<std::string> collect() {
         }
       }
     }
+    lines.push_back(shape_line(input, g, 256, 1, false, /*trim=*/true));
   }
   return lines;
 }
@@ -102,7 +121,8 @@ TEST(SccShapes, GoldenValuesPinnedAcrossLaunchGeometries) {
     std::ofstream os(golden_path());
     ASSERT_TRUE(os) << "cannot write " << golden_path();
     os << "# Golden ECL-SCC modeled results per launch geometry (tiny meshes,\n"
-          "# threads_per_block x edges_per_thread x modeled LLC off/on).\n"
+          "# threads_per_block x edges_per_thread x modeled LLC off/on, plus\n"
+          "# one trimmed run per mesh).\n"
           "# Regenerate: ECLP_UPDATE_GOLDEN=1 ./eclp_tests "
           "--gtest_filter='SccShapes.*'\n";
     for (const auto& line : lines) os << line << '\n';
