@@ -41,10 +41,29 @@ void write_vec(std::ostream& os, std::span<const T> v) {
            static_cast<std::streamsize>(v.size() * sizeof(T)));
 }
 
+/// Bytes between the read position of `is` and its end.
+u64 bytes_left(std::istream& is) {
+  const std::streampos here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streampos end = is.tellg();
+  is.seekg(here);
+  ECLP_CHECK_MSG(here != std::streampos(-1) && end != std::streampos(-1) &&
+                     is.good(),
+                 "binary graph: stream is not seekable");
+  return static_cast<u64>(end - here);
+}
+
+/// An array's length prefix is checked against the bytes the stream still
+/// holds before anything is allocated, so a corrupt prefix cannot ask for
+/// more memory than the file could fill.
 template <typename T>
 std::vector<T> read_vec(std::istream& is) {
   const u64 n = read_pod<u64>(is);
-  ECLP_CHECK_MSG(n < (1ULL << 33), "binary graph: implausible array size");
+  const u64 left = bytes_left(is);
+  ECLP_CHECK_MSG(n <= left / sizeof(T),
+                 "binary graph: array length "
+                     << n << " (x " << sizeof(T) << " bytes) exceeds the "
+                     << left << " bytes left in the stream");
   std::vector<T> v(n);
   is.read(reinterpret_cast<char*>(v.data()),
           static_cast<std::streamsize>(n * sizeof(T)));

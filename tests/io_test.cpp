@@ -2,7 +2,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "gen/generators.hpp"
 #include "graph/builder.hpp"
@@ -66,6 +68,36 @@ TEST(BinaryIo, FileRoundtrip) {
       (std::filesystem::temp_directory_path() / "eclp_io_test.eclg").string();
   save_binary(g, path);
   expect_same_graph(g, load_binary(path));
+  std::remove(path.c_str());
+}
+
+TEST(BinaryIo, LengthPrefixBeyondTheFileIsRejectedBeforeAllocating) {
+  const auto g = gen::grid2d_torus(4);
+  const auto path =
+      (std::filesystem::temp_directory_path() / "eclp_io_length.eclg")
+          .string();
+  save_binary(g, path);
+  // The row-offset array's u64 length prefix follows the 18-byte header
+  // (magic, version, directed, weighted, vertex count).
+  constexpr std::streamoff kPrefix = 8 + 4 + 1 + 1 + 4;
+  const u64 file_bytes = std::filesystem::file_size(path);
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(kPrefix);
+    const u64 length = (u64{1} << 32) - 1;
+    f.write(reinterpret_cast<const char*>(&length), sizeof length);
+  }
+  const u64 left = file_bytes - kPrefix - sizeof(u64);
+  try {
+    load_binary(path);
+    ADD_FAILURE() << "a length prefix of 2^32 - 1 was accepted";
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("array length 4294967295 (x 4 bytes) exceeds the " +
+                        std::to_string(left) + " bytes left"),
+              std::string::npos)
+        << what;
+  }
   std::remove(path.c_str());
 }
 
