@@ -20,51 +20,39 @@ Device::Device(CostModel cost, u64 seed, ScheduleMode mode)
   ECLP_CHECK(cost_.sm_count > 0);
 }
 
-void Device::record_block_atomic(u32 block, AtomicOutcome outcome) {
-  if (block_stats_ != nullptr) {
-    (*block_stats_)[block].stats.record(outcome);
-  } else {
-    atomics_.record(outcome);
+KernelCost Device::finalize_thread_work(const LaunchConfig& cfg) {
+  block_work_.assign(cfg.blocks, {});
+  const u64* w = work_.data();
+  for (BlockWork& block : block_work_) {
+    for (u32 t = 0; t < cfg.threads_per_block; ++t) block.add_thread(*w++);
   }
+  return finalize_cost(cfg);
 }
 
-KernelCost Device::finalize_cost(const LaunchConfig& cfg,
-                                 std::span<const u64> thread_work,
-                                 std::span<const u64> block_sync) {
+KernelCost Device::finalize_cost(const LaunchConfig& cfg) {
   KernelCost kc;
   const bool keep_block_times = observing();
   block_cycles_.clear();
   if (keep_block_times) block_cycles_.reserve(cfg.blocks);
   u64 block_time_total = 0;
   u64 max_block_time = 0;
-  for (u32 b = 0; b < cfg.blocks; ++b) {
-    u64 block_work = 0;
-    u64 block_max_thread = 0;
-    for (u32 t = 0; t < cfg.threads_per_block; ++t) {
-      const u64 w = thread_work[b * cfg.threads_per_block + t];
-      block_work += w;
-      block_max_thread = std::max(block_max_thread, w);
-      if (w > 0) {
-        kc.active_threads++;
-      } else {
-        kc.idle_threads++;
-      }
-    }
-    kc.thread_work += block_work;
-    kc.max_thread_work = std::max(kc.max_thread_work, block_max_thread);
-    const u64 sync = block_sync.empty() ? 0 : block_sync[b];
-    kc.sync_cost += sync;
+  for (const BlockWork& block : block_work_) {
+    kc.thread_work += block.work;
+    kc.max_thread_work = std::max(kc.max_thread_work, block.max_thread);
+    kc.active_threads += block.active;
+    kc.sync_cost += block.sync;
     // A block is bounded by its lane throughput AND by its longest single
     // thread — one thread's serial instruction stream cannot spread across
     // lanes, which is why per-thread load balance (paper §3.1.1) matters.
     const u64 block_time =
         cost_.block_overhead +
-        std::max(ceil_div(block_work, cost_.lanes_per_sm), block_max_thread) +
-        sync;
+        std::max(ceil_div(block.work, cost_.lanes_per_sm), block.max_thread) +
+        block.sync;
     block_time_total += block_time;
     max_block_time = std::max(max_block_time, block_time);
     if (keep_block_times) block_cycles_.push_back(block_time);
   }
+  kc.idle_threads = cfg.total_threads() - kc.active_threads;
   kc.block_time = block_time_total;
   kc.max_block_time = max_block_time;
   // Fold the per-block LLC slices in block-index order — same deterministic

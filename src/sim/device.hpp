@@ -21,9 +21,10 @@
 //                              sweep's buffered writes until the commit
 //                              changes nothing — the __syncthreads do-while
 //                              structure of ECL-SCC's propagation kernel
-//                              (paper Figure 1). After the first sweep only
-//                              the threads the kernel names as dirty run;
-//                              the rest replay their last sweep's charge;
+//                              (paper Figure 1). Only the threads the
+//                              kernel names as dirty run, across launches
+//                              too; the rest replay their last sweep's
+//                              charge;
 //  * a cycle cost model charged as threads execute (cost_model.hpp).
 //
 // Dispatch: the launch entry points are templates on the kernel body type,
@@ -46,6 +47,7 @@
 // the same interleaving (the paper's Table 3 corresponds to three seeds).
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -87,6 +89,9 @@ struct KernelStats {
   KernelCost cost;
   u64 cooperative_rounds = 0;             ///< launch_cooperative only
   std::vector<u64> block_inner_iterations;  ///< launch_block_jacobi only
+  /// Thread sweeps that ran, replayed ones excluded (launch_block_jacobi
+  /// only). Host-side bookkeeping: no modeled number depends on it.
+  u64 executed_thread_sweeps = 0;
 };
 
 enum class ScheduleMode : u8 {
@@ -97,6 +102,13 @@ enum class ScheduleMode : u8 {
 /// Default (no-op) round hook for launch_cooperative.
 struct NoRoundHook {
   void operator()(u64 /*round*/) const {}
+};
+
+/// Default first-sweep functor for launch_block_jacobi: every thread runs.
+struct AllThreads {
+  bool operator()(u32 /*block*/, std::vector<u32>& /*dirty*/) const {
+    return true;
+  }
 };
 
 class Device;
@@ -259,16 +271,7 @@ class ThreadCtx {
     return old;
   }
 
-  /// Commit the accumulated tally into this thread's work-table slot.
-  /// Called by the launch loop after every body/step invocation.
-  void flush_cost() {
-    *work_slot_ += pending_;
-    pending_ = 0;
-  }
-
   const CostModel* cost_ = nullptr;
-  /// This thread's slot in the device's per-launch work table.
-  u64* work_slot_ = nullptr;
   /// Where atomic outcomes are tallied: the device-wide AtomicStats for
   /// sequential launches, this block's private shard for block-independent
   /// ones (merged in block-index order at launch end).
@@ -344,7 +347,7 @@ class Device {
     KernelStats ks;
     ks.name = name;
     ks.config = cfg;
-    ks.cost = finalize_cost(cfg, work_, {});
+    ks.cost = finalize_thread_work(cfg);
     record_trace(ks, atomics_before);
     return ks;
   }
@@ -389,7 +392,7 @@ class Device {
         ThreadCtx ctx = make_ctx(cfg, gid / cfg.threads_per_block,
                                  gid % cfg.threads_per_block);
         const bool done = step(ctx);
-        ctx.flush_cost();
+        flush_cost(ctx);
         if (!done) alive[out++] = gid;
       }
       alive.resize(out);
@@ -400,7 +403,7 @@ class Device {
     ks.name = name;
     ks.config = cfg;
     ks.cooperative_rounds = rounds;
-    ks.cost = finalize_cost(cfg, work_, {});
+    ks.cost = finalize_thread_work(cfg);
     record_trace(ks, atomics_before);
     return ks;
   }
@@ -416,19 +419,30 @@ class Device {
   /// with the serialization order collapse in one sweep and chains against
   /// it crawl, an artifact of the simulator, not the machine.
   ///
-  /// Dirty-thread contract. Every thread runs in a block's first sweep.
-  /// After that, commit names in `dirty` (cleared before each call) the
-  /// block-local threads whose inputs its writes changed, in ascending
-  /// order without repeats; only those run in the next sweep. Every other
-  /// thread is charged what its last sweep charged, as if it had run again.
-  /// The kernel guarantees that this replay is exact: a clean thread's
-  /// sweep would charge the same cycles and buffer nothing commit has not
-  /// already accounted for. Its only device-visible effect is its charge,
-  /// so a step issues no instrumented atomics and no classified accesses
-  /// (it charges them); hardened builds check both, and the dirty list.
-  template <typename Step, typename Commit>
+  /// Dirty-thread contract. Only the threads the kernel names run; every
+  /// other thread is charged what its last executed sweep charged, as if it
+  /// had run again, from a per-thread replay table. Names are block-local
+  /// thread indices in ascending order without repeats.
+  ///  * First sweep: `first(block, dirty)` (called with `dirty` empty)
+  ///    returns true when every thread runs — the default, and the only
+  ///    choice when the previous block-jacobi launch had another geometry
+  ///    — or false after naming the threads that run. The others replay
+  ///    the charge of their last sweep in an earlier launch: the table
+  ///    carries over between consecutive block-jacobi launches of the same
+  ///    (blocks, threads_per_block), whatever launches run in between.
+  ///  * Later sweeps: commit names in `dirty` (cleared before each call)
+  ///    the threads whose inputs its writes changed.
+  /// The kernel guarantees that this replay is exact: a skipped thread's
+  /// sweep would charge the same cycles and buffer nothing the kernel has
+  /// not already accounted for. Its only device-visible effect is its
+  /// charge, so a step issues no instrumented atomics and no classified
+  /// accesses (it charges them); hardened builds check both, and the dirty
+  /// lists. `first` runs inside the block, so in a block-independent
+  /// launch it may touch only that block's state.
+  template <typename Step, typename Commit, typename First = AllThreads>
   KernelStats launch_block_jacobi(const std::string& name, LaunchConfig cfg,
                                   Step&& step, Commit&& commit,
+                                  First&& first = First{},
                                   u64 max_inner = 1u << 22) {
     static_assert(
         std::is_invocable_v<Step&, ThreadCtx&, u64>,
@@ -437,34 +451,47 @@ class Device {
                                         std::vector<u32>&>,
                   "block-jacobi commit must be callable as "
                   "bool commit(u32 block, u64, std::vector<u32>& dirty)");
+    static_assert(std::is_invocable_r_v<bool, First&, u32, std::vector<u32>&>,
+                  "block-jacobi first must be callable as "
+                  "bool first(u32 block, std::vector<u32>& dirty)");
     ECLP_CHECK(cfg.blocks > 0 && cfg.threads_per_block > 0);
-    ECLP_CHECK(max_inner <= ~u32{0});  // sweep indices fit last_sweep_
+    ECLP_CHECK(max_inner <= ~u32{0});  // sweep indices fit Replay::last_sweep
     begin_observation();
     const u64 atomics_before = atomics_.total();
-    work_.assign(cfg.total_threads(), 0);
-    sweep_work_.assign(cfg.total_threads(), 0);
-    last_sweep_.assign(cfg.total_threads(), 0);
+    // The replay table carries over only from a completed launch of the
+    // same geometry; a launch that throws leaves nothing to carry.
+    const bool carried = replay_cfg_.blocks == cfg.blocks &&
+                         replay_cfg_.threads_per_block == cfg.threads_per_block;
+    replay_cfg_ = {0, 0};
+    if (!carried) replay_.assign(cfg.total_threads(), {});
+    block_work_.assign(cfg.blocks, {});
     prepare_caches(cfg.blocks);
 
     std::vector<u64> block_iters(cfg.blocks, 0);
-    std::vector<u64> block_sync(cfg.blocks, 0);
     const auto run_block = [&](u32 b, AtomicStats* shard) {
+      const u32 tpb = cfg.threads_per_block;
       // One context per block, re-pointed at each thread it runs.
       ThreadCtx ctx = make_ctx(cfg, b, 0, shard);
-      const u32 base = b * cfg.threads_per_block;
-      // A thread's work_ slot lags by the sweeps replayed since it last
-      // ran; each run (and the block's end) charges them at once.
+      Replay* const replay = &replay_[static_cast<usize>(b) * tpb];
+      BlockWork block;
+      // A thread's work lags by the sweeps replayed since it last ran; each
+      // run (and the block's end) charges them at once.
       const auto run_thread_sweep = [&](u32 t, u64 inner) {
         point_ctx(ctx, t);
         step(ctx, inner);
-        const u32 gid = base + t;
-        work_[gid] +=
-            sweep_work_[gid] * (inner - 1 - last_sweep_[gid]) + ctx.pending_;
-        sweep_work_[gid] = ctx.pending_;
-        last_sweep_[gid] = static_cast<u32>(inner);
+        Replay& r = replay[t];
+        r.work += r.sweep_work * (inner - 1 - r.last_sweep) + ctx.pending_;
+        r.sweep_work = ctx.pending_;
+        r.last_sweep = static_cast<u32>(inner);
         ctx.pending_ = 0;
       };
       std::vector<u32> dirty;
+      const bool all_first = first(b, dirty);
+      ECLP_CHECK_MSG(all_first || carried,
+                     "block-jacobi kernel '"
+                         << name << "' named first-sweep threads, but the "
+                                    "previous block-jacobi launch had "
+                                    "another geometry");
       bool block_updated = true;
       u64 inner = 0;
       while (block_updated) {
@@ -474,13 +501,12 @@ class Device {
                                                << " inner iterations");
         ++inner;
         const u64 effects_before = step_effects(ctx);
-        if (inner == 1) {
-          for (u32 t = 0; t < cfg.threads_per_block; ++t) {
-            run_thread_sweep(t, inner);
-          }
+        if (inner == 1 && all_first) {
+          for (u32 t = 0; t < tpb; ++t) run_thread_sweep(t, inner);
+          block.sweeps += tpb;
         } else {
           for (usize i = 0; i < dirty.size(); ++i) {
-            ECLP_ASSERT_MSG(dirty[i] < cfg.threads_per_block &&
+            ECLP_ASSERT_MSG(dirty[i] < tpb &&
                                 (i == 0 || dirty[i - 1] < dirty[i]),
                             "block-jacobi kernel '"
                                 << name << "' block " << b
@@ -488,6 +514,7 @@ class Device {
                                    "unique and below threads_per_block");
             run_thread_sweep(dirty[i], inner);
           }
+          block.sweeps += dirty.size();
         }
         ECLP_ASSERT_MSG(step_effects(ctx) == effects_before,
                         "block-jacobi kernel '"
@@ -496,17 +523,23 @@ class Device {
         // Block-wide synchronization: every resident thread participates,
         // active or not — this is the overhead the paper's §6.2.1 tunes
         // away.
-        block_sync[b] +=
-            static_cast<u64>(cfg.threads_per_block) * cost_.sync_per_thread;
+        block.sync += static_cast<u64>(tpb) * cost_.sync_per_thread;
         // The commit callback records its resolved-intent outcomes through
         // record_block_atomic(b, ...), which lands in this block's shard
         // during a block-independent launch.
         dirty.clear();
         block_updated = commit(b, inner, dirty);
       }
-      for (u32 gid = base; gid < base + cfg.threads_per_block; ++gid) {
-        work_[gid] += sweep_work_[gid] * (inner - last_sweep_[gid]);
+      // Charge the replayed sweeps, sum the block, and leave each thread's
+      // last sweep charge for the next launch to replay.
+      for (u32 t = 0; t < tpb; ++t) {
+        Replay& r = replay[t];
+        const u64 w = r.work + r.sweep_work * (inner - r.last_sweep);
+        block.add_thread(w);
+        r.work = 0;
+        r.last_sweep = 0;
       }
+      block_work_[b] = block;
       block_iters[b] = inner;
     };
     if (cfg.block_independent) {
@@ -514,12 +547,16 @@ class Device {
     } else {
       for (u32 b = 0; b < cfg.blocks; ++b) run_block(b, nullptr);
     }
+    replay_cfg_ = cfg;
 
     KernelStats ks;
     ks.name = name;
     ks.config = cfg;
     ks.block_inner_iterations = std::move(block_iters);
-    ks.cost = finalize_cost(cfg, work_, block_sync);
+    for (const BlockWork& block : block_work_) {
+      ks.executed_thread_sweeps += block.sweeps;
+    }
+    ks.cost = finalize_cost(cfg);
     record_trace(ks, atomics_before);
     return ks;
   }
@@ -544,7 +581,13 @@ class Device {
   /// block-independent launch this routes to the block's private shard so
   /// concurrently executing blocks never contend; otherwise it lands in the
   /// device-wide tally directly.
-  void record_block_atomic(u32 block, AtomicOutcome outcome);
+  void record_block_atomic(u32 block, AtomicOutcome outcome, u64 n = 1) {
+    if (block_stats_ != nullptr) {
+      (*block_stats_)[block].stats.record(outcome, n);
+    } else {
+      atomics_.record(outcome, n);
+    }
+  }
 
   // --- accounting ------------------------------------------------------------
   const CostModel& cost_model() const { return cost_; }
@@ -591,9 +634,24 @@ class Device {
   static constexpr u32 kWarpSize = 32;
 
  private:
-  KernelCost finalize_cost(const LaunchConfig& cfg,
-                           std::span<const u64> thread_work,
-                           std::span<const u64> block_sync);
+  /// One block's share of a launch, summed thread by thread.
+  struct BlockWork {
+    u64 work = 0;        ///< Σ thread work
+    u64 max_thread = 0;  ///< longest single thread's work
+    u32 active = 0;      ///< threads with work > 0
+    u64 sync = 0;        ///< block-wide synchronization charges
+    u64 sweeps = 0;      ///< thread sweeps executed (block-jacobi only)
+    void add_thread(u64 w) {
+      work += w;
+      max_thread = std::max(max_thread, w);
+      active += w > 0 ? 1 : 0;
+    }
+  };
+  /// Cost the launch from block_work_ and charge it to the device.
+  KernelCost finalize_cost(const LaunchConfig& cfg);
+  /// finalize_cost for the run-to-completion disciplines: block_work_
+  /// summed from the work_ table first.
+  KernelCost finalize_thread_work(const LaunchConfig& cfg);
   /// Hand the finished launch to the observer, if one is attached.
   void record_trace(const KernelStats& stats, u64 atomics_before);
 
@@ -633,10 +691,16 @@ class Device {
   }
 
   /// Re-point a context at another thread of its block.
-  void point_ctx(ThreadCtx& ctx, u32 thread) {
+  static void point_ctx(ThreadCtx& ctx, u32 thread) {
     ctx.thread_ = thread;
     ctx.global_ = ctx.block_ * ctx.block_dim_ + thread;
-    ctx.work_slot_ = &work_[ctx.global_];
+  }
+
+  /// Commit a context's accumulated tally into its thread's work_ slot;
+  /// called after every body/step invocation.
+  void flush_cost(ThreadCtx& ctx) {
+    work_[ctx.global_] += ctx.pending_;
+    ctx.pending_ = 0;
   }
 
   /// Instrumented atomics plus classified accesses seen through `ctx` so
@@ -653,7 +717,7 @@ class Device {
                   AtomicStats* stats, Body& body) {
     ThreadCtx ctx = make_ctx(cfg, block, thread, stats);
     body(ctx);
-    ctx.flush_cost();
+    flush_cost(ctx);
   }
 
   /// Execute `block_body(block, stats_shard)` for every block of a
@@ -708,13 +772,24 @@ class Device {
   // only while observing. Capacity reused across launches.
   std::vector<u64> block_cycles_;
   Pool* pool_ = nullptr;
-  // Work accumulator of the launch currently executing; capacity is reused
-  // across launches (assign, not reconstruct).
+  // Work accumulator of the launch()/launch_cooperative() currently
+  // executing; capacity is reused across launches (assign, not
+  // reconstruct).
   std::vector<u64> work_;
-  // launch_block_jacobi replay table: per thread, the charge of its last
-  // executed sweep and that sweep's index.
-  std::vector<u64> sweep_work_;
-  std::vector<u32> last_sweep_;
+  // Per-block sums of the launch currently finalizing.
+  std::vector<BlockWork> block_work_;
+  // launch_block_jacobi replay table, per thread: the work charged so far
+  // this launch, the charge of its last executed sweep and that sweep's
+  // index (0 between launches, when the charge carries over). It carries
+  // over between consecutive launches of geometry replay_cfg_ ({0, 0}
+  // when nothing carries).
+  struct Replay {
+    u64 work = 0;
+    u64 sweep_work = 0;
+    u32 last_sweep = 0;
+  };
+  std::vector<Replay> replay_;
+  LaunchConfig replay_cfg_{0, 0};
   // Per-block modeled-LLC slices (empty while the cache is disabled).
   // Each block of a launch touches only its own slice (alignas(64) keeps
   // them on distinct cache lines), so block-parallel execution is race-free

@@ -348,14 +348,18 @@ KernelStats iterate_until(Device& dev, const std::string& kernel,
 
 /// block_jacobi: block-synchronous sweeps to a fixed point (ECL-SCC's
 /// propagation, paper Figure 1), i.e. Device::launch_block_jacobi in an
-/// operator span with its dirty-thread contract unchanged: after a block's
-/// first sweep only the threads `commit` names dirty run again.
-template <typename Step, typename Commit>
+/// operator span with its dirty-thread contract unchanged: `first` names
+/// the threads of a block's first sweep (true = all of them), `commit` the
+/// threads of each later one, and every other thread replays its last
+/// sweep's charge, across consecutive launches of one geometry too.
+template <typename Step, typename Commit, typename First = AllThreads>
 KernelStats block_jacobi(Device& dev, const std::string& kernel,
-                         LaunchConfig cfg, Step&& step, Commit&& commit) {
+                         LaunchConfig cfg, Step&& step, Commit&& commit,
+                         First&& first = First{}) {
   OpSpan span("block_jacobi", kernel);
   return dev.launch_block_jacobi(kernel, cfg, std::forward<Step>(step),
-                                 std::forward<Commit>(commit));
+                                 std::forward<Commit>(commit),
+                                 std::forward<First>(first));
 }
 
 }  // namespace eclp::sim::ops

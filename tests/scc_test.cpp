@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "algos/common.hpp"
 #include "algos/scc/ecl_scc.hpp"
 #include "gen/generators.hpp"
@@ -223,6 +225,49 @@ TEST(EclScc, StarMeshTakesMultipleOuterRounds) {
   // reached 10 on star).
   EXPECT_GE(res.outer_iterations, 4u);
   EXPECT_TRUE(verify(g, res.scc_id));
+}
+
+/// Watches scc_propagate launches. A round's first launch (after
+/// scc_init_signatures) runs every thread in its first sweep; a later
+/// launch runs only the threads the previous launch left stale. In a
+/// launch where every block ran a single sweep, as in the fixed-point
+/// launch that closes each round, every executed sweep is a first sweep.
+class PropagationObserver : public sim::LaunchObserver {
+ public:
+  void on_launch(const sim::KernelStats& stats, u64, u64,
+                 std::span<const u64>) override {
+    if (stats.name == "scc_init_signatures") round_start_ = true;
+    if (stats.name != "scc_propagate") return;
+    const u64 grid = stats.config.total_threads();
+    if (round_start_) {
+      round_start_ = false;
+      ++first_launches;
+      EXPECT_GE(stats.executed_thread_sweeps, grid);
+      return;
+    }
+    const auto& iters = stats.block_inner_iterations;
+    if (std::all_of(iters.begin(), iters.end(),
+                    [](u64 i) { return i == 1; })) {
+      ++single_sweep_launches;
+      EXPECT_LT(stats.executed_thread_sweeps, grid);
+    }
+  }
+  u64 first_launches = 0;
+  u64 single_sweep_launches = 0;
+
+ private:
+  bool round_start_ = false;
+};
+
+TEST(EclScc, LaterLaunchesRunOnlyStaleThreadsInTheirFirstSweep) {
+  const auto g = gen::find_input("toroid-hex").make(gen::Scale::kTiny);
+  sim::Device dev;
+  PropagationObserver observer;
+  dev.set_launch_observer(&observer);
+  const auto res = run(dev, g);
+  EXPECT_TRUE(verify(g, res.scc_id));
+  EXPECT_EQ(observer.first_launches, res.outer_iterations);
+  EXPECT_GT(observer.single_sweep_launches, 0u);
 }
 
 }  // namespace
