@@ -7,16 +7,19 @@
 //   pass 1  re-emit every chunk, accumulating per-(slot, row) degree
 //           histograms (slots group contiguous chunks so the cursor
 //           matrix stays under kParallelHistogramEntryCap);
+//   prefix  one parallel exclusive scan turns the histograms into row
+//           starts and per-(slot, row) cursors;
 //   pass 2  re-emit every chunk again and scatter each arc straight into
 //           the final adjacency array through per-(slot, row) cursors,
 //
-// followed by a per-row sort + keep-first dedupe and an in-place
-// compaction. Sources come in two kinds: the generator streams
-// (gen/stream.hpp) recompute their chunks, so the edge list never exists
-// and peak memory is the final CSR plus the cursor matrix; and
-// VectorChunkSource serves edges that already sit in memory — the
-// Builder's staging vector (Builder::build, from_edges) and the text
-// readers' per-chunk parse buffers.
+// both passes prefetching a few dozen edges ahead of themselves
+// (emit_buffered's lookahead stages), followed by a per-row sort +
+// keep-first dedupe and an in-place compaction. Sources come in two
+// kinds: the generator streams (gen/stream.hpp) recompute their chunks,
+// so the edge list never exists and peak memory is the final CSR plus
+// the cursor matrix; and VectorChunkSource serves edges that already sit
+// in memory — the Builder's staging vector (Builder::build, from_edges)
+// and the text readers' per-chunk parse buffers.
 //
 // Determinism contract (docs/INGEST.md "Why bit-identity is the
 // contract"): emission within a chunk is sequential and a pure function of
@@ -39,6 +42,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <concepts>
 #include <cstring>
 #include <span>
@@ -136,23 +140,76 @@ inline void put_slot(WeightedSlot& slot, vidx dst, weight_t w) {
   slot = {dst, w};
 }
 
-/// Emit chunk `c` of `source` into `fn` through a small stack buffer, in
-/// order. The histogram and scatter loops then run back to back over the
-/// buffer and keep many cache misses in flight, instead of each access
-/// waiting behind the generator arithmetic that produced its edge. On a
-/// 4-core host this takes a third off a scale-19 R-MAT build.
-template <ChunkedEdgeSource S, typename Fn>
-void emit_buffered(const S& source, u64 c, Fn&& fn) {
-  constexpr usize kBuffer = 1024;
-  Edge buf[kBuffer];
+/// emit_buffered's buffer, in edges, and the distances its lookahead
+/// stages run ahead of a pass: the histogram prefetches its counters
+/// kCountAhead edges early; the scatter prefetches its cursors
+/// kCursorAhead edges early and, kSlotAhead edges early, reads them to
+/// prefetch the adjacency slots they point at.
+inline constexpr usize kEmitBuffer = 1024;
+inline constexpr usize kCountAhead = 16;
+inline constexpr usize kCursorAhead = 32;
+inline constexpr usize kSlotAhead = 12;
+
+/// The two addresses a pass touches for one edge: its source's and its
+/// mirror's (the source's again when nothing is mirrored).
+using Touches = std::array<const void*, 2>;
+
+/// One lookahead stage of emit_buffered: `where(src, dst)` names the
+/// addresses the pass will touch for an edge, and emit_buffered prefetches
+/// them `Distance` edges before the pass reaches that edge. The stage only
+/// computes addresses; issuing the prefetches in emit_buffered's own loop
+/// keeps the compiler from discarding them as dead code.
+template <usize Distance, typename Where>
+struct Lookahead {
+  Where where;
+};
+
+template <usize Distance, typename Where>
+Lookahead<Distance, Where> ahead(Where where) {
+  return {std::move(where)};
+}
+
+/// Emit chunk `c` of `source` into `fn` through a stack buffer of
+/// kEmitBuffer edges, in order. The pass's loop then runs back to back
+/// over the buffer instead of waiting behind the generator arithmetic that
+/// produced each edge (on a 4-core host this took a third off a scale-19
+/// R-MAT build). Each of `stages` prefetches what the pass will touch for
+/// the buffered edge `Distance` places ahead of the one `fn` gets, so many
+/// cache misses are in flight at once; the first `Distance` edges of a
+/// buffer go without, and no stage reads past the edges buffered. Each
+/// buffer is range-checked whole before any stage or `fn` sees it. The
+/// stages only move memory traffic: `fn` sees the same edges in the same
+/// order with or without them.
+template <ChunkedEdgeSource S, typename Fn, usize... Distance,
+          typename... Where>
+void emit_buffered(const S& source, u64 c, Fn&& fn,
+                   Lookahead<Distance, Where>... stages) {
+  const vidx num_vertices = source.num_vertices();
+  Edge buf[kEmitBuffer];
   usize n = 0;
+  const auto prefetch = [](const Touches& touches) {
+    for (const void* p : touches) __builtin_prefetch(p, 1);
+  };
   const auto drain = [&] {
-    for (usize i = 0; i < n; ++i) fn(buf[i].src, buf[i].dst, buf[i].w);
+    vidx top = 0;
+    for (usize i = 0; i < n; ++i) {
+      top = std::max({top, buf[i].src, buf[i].dst});
+    }
+    ECLP_CHECK_MSG(n == 0 || top < num_vertices,
+                   "edge endpoint " << top << " out of range, n="
+                                    << num_vertices);
+    for (usize i = 0; i < n; ++i) {
+      ((i + Distance < n ? prefetch(stages.where(buf[i + Distance].src,
+                                                 buf[i + Distance].dst))
+                         : void()),
+       ...);
+      fn(buf[i].src, buf[i].dst, buf[i].w);
+    }
     n = 0;
   };
   source.emit(c, [&](vidx u, vidx v, weight_t w = 0) {
     buf[n++] = {u, v, w};
-    if (n == kBuffer) drain();
+    if (n == kEmitBuffer) drain();
   });
   drain();
 }
@@ -173,43 +230,46 @@ std::pair<std::vector<eidx>, std::vector<Slot>> assemble_rows(
   // materializes. Row `slot * V + src` is written only by the worker
   // draining that slot's chunk range.
   std::vector<eidx> cursors(slots * V, 0);
-  parallel_for_chunks(pool, chunks, slots,
-                      [&](u64 slot, u64 cbegin, u64 cend, u32) {
-                        eidx* mine = cursors.data() + slot * V;
-                        const auto count = [&](vidx u, vidx v,
-                                               weight_t = 0) {
-                          ECLP_CHECK_MSG(
-                              u < num_vertices && v < num_vertices,
-                              "edge (" << u << "," << v
-                                       << ") out of range, n="
-                                       << num_vertices);
-                          if (u == v && opt.remove_self_loops) return;
-                          mine[u]++;
-                          if (!opt.directed) mine[v]++;
-                        };
-                        for (u64 c = cbegin; c < cend; ++c) {
-                          emit_buffered(source, c, count);
-                        }
-                      });
+  parallel_for_chunks(
+      pool, chunks, slots, [&](u64 slot, u64 cbegin, u64 cend, u32) {
+        eidx* mine = cursors.data() + slot * V;
+        const auto count = [&](vidx u, vidx v, weight_t = 0) {
+          if (u == v && opt.remove_self_loops) return;
+          mine[u]++;
+          if (!opt.directed) mine[v]++;
+        };
+        const auto count_ahead = [&](vidx u, vidx v) {
+          return Touches{mine + u, mine + (opt.directed ? u : v)};
+        };
+        for (u64 c = cbegin; c < cend; ++c) {
+          emit_buffered(source, c, count, ahead<kCountAhead>(count_ahead));
+        }
+      });
 
-  // Row starts (exclusive prefix over per-row totals), then a column-wise
-  // exclusive scan turning the histograms into per-(slot, row) scatter
-  // cursors.
+  // Row starts and per-(slot, row) scatter cursors, as one exclusive scan
+  // over rows (and slots within a row) in parallel: each row range sums
+  // its histogram columns, a serial scan over the range totals gives each
+  // range its base, and each range then writes its row starts and turns
+  // its columns into cursors.
   std::vector<eidx> row_start(V + 1, 0);
-  {
-    u64 running = 0;
-    for (usize s = 0; s < V; ++s) {
-      row_start[s] = static_cast<eidx>(running);
-      for (u64 c = 0; c < slots; ++c) running += cursors[c * V + s];
-    }
-    ECLP_CHECK_MSG(running <= static_cast<u64>(kNoEdge),
-                   "graph exceeds 32-bit edge indices (" << running
-                                                         << " arcs)");
-    row_start[V] = static_cast<eidx>(running);
-  }
-  parallel_for_chunks(pool, V, slots, [&](u64, u64 begin, u64 end, u32) {
+  const u64 ranges = clamped_chunks(V, slots);
+  std::vector<u64> range_base(ranges + 1, 0);
+  parallel_for_chunks(pool, V, ranges, [&](u64 r, u64 begin, u64 end, u32) {
+    u64 total = 0;
     for (u64 s = begin; s < end; ++s) {
-      eidx cursor = row_start[s];
+      for (u64 c = 0; c < slots; ++c) total += cursors[c * V + s];
+    }
+    range_base[r + 1] = total;
+  });
+  for (u64 r = 0; r < ranges; ++r) range_base[r + 1] += range_base[r];
+  ECLP_CHECK_MSG(range_base[ranges] <= static_cast<u64>(kNoEdge),
+                 "graph exceeds 32-bit edge indices (" << range_base[ranges]
+                                                       << " arcs)");
+  row_start[V] = static_cast<eidx>(range_base[ranges]);
+  parallel_for_chunks(pool, V, ranges, [&](u64 r, u64 begin, u64 end, u32) {
+    auto cursor = static_cast<eidx>(range_base[r]);
+    for (u64 s = begin; s < end; ++s) {
+      row_start[s] = cursor;
       for (u64 c = 0; c < slots; ++c) {
         const eidx count = cursors[c * V + s];
         cursors[c * V + s] = cursor;
@@ -223,19 +283,31 @@ std::pair<std::vector<eidx>, std::vector<Slot>> assemble_rows(
   // are private per (slot, row), so no atomics; within every row, slot
   // order equals chunk order equals canonical order.
   std::vector<Slot> adj(row_start[V]);
-  parallel_for_chunks(pool, chunks, slots,
-                      [&](u64 slot, u64 cbegin, u64 cend, u32) {
-                        eidx* cursor = cursors.data() + slot * V;
-                        const auto scatter = [&](vidx u, vidx v,
-                                                 weight_t w = 0) {
-                          if (u == v && opt.remove_self_loops) return;
-                          put_slot(adj[cursor[u]++], v, w);
-                          if (!opt.directed) put_slot(adj[cursor[v]++], u, w);
-                        };
-                        for (u64 c = cbegin; c < cend; ++c) {
-                          emit_buffered(source, c, scatter);
-                        }
-                      });
+  parallel_for_chunks(
+      pool, chunks, slots, [&](u64 slot, u64 cbegin, u64 cend, u32) {
+        eidx* cursor = cursors.data() + slot * V;
+        const auto scatter = [&](vidx u, vidx v, weight_t w = 0) {
+          if (u == v && opt.remove_self_loops) return;
+          put_slot(adj[cursor[u]++], v, w);
+          if (!opt.directed) put_slot(adj[cursor[v]++], u, w);
+        };
+        // The slot an arc lands in depends on its cursor, so the lookahead
+        // takes two steps: fetch the cursor, then, once it has arrived,
+        // the slot it points at. A cursor never passes its row's end, so
+        // the slot address stays within `adj` (one past its end at most,
+        // for a dropped self-loop at the last row).
+        const auto cursor_ahead = [&](vidx u, vidx v) {
+          return Touches{cursor + u, cursor + (opt.directed ? u : v)};
+        };
+        const auto slot_ahead = [&](vidx u, vidx v) {
+          return Touches{adj.data() + cursor[u],
+                         adj.data() + cursor[opt.directed ? u : v]};
+        };
+        for (u64 c = cbegin; c < cend; ++c) {
+          emit_buffered(source, c, scatter, ahead<kCursorAhead>(cursor_ahead),
+                        ahead<kSlotAhead>(slot_ahead));
+        }
+      });
   cursors.clear();
   cursors.shrink_to_fit();
 
