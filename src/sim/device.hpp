@@ -479,9 +479,15 @@ class Device {
       const auto run_thread_sweep = [&](u32 t, u64 inner) {
         point_ctx(ctx, t);
         step(ctx, inner);
+        ECLP_CHECK_MSG(ctx.pending_ <= ~u32{0},
+                       "block-jacobi kernel '"
+                           << name << "' block " << b << " thread " << t
+                           << " charged " << ctx.pending_
+                           << " cycles in one sweep; the replay table holds "
+                              "at most 2^32 - 1");
         Replay& r = replay[t];
         r.work += r.sweep_work * (inner - 1 - r.last_sweep) + ctx.pending_;
-        r.sweep_work = ctx.pending_;
+        r.sweep_work = static_cast<u32>(ctx.pending_);
         r.last_sweep = static_cast<u32>(inner);
         ctx.pending_ = 0;
       };
@@ -779,15 +785,17 @@ class Device {
   // Per-block sums of the launch currently finalizing.
   std::vector<BlockWork> block_work_;
   // launch_block_jacobi replay table, per thread: the work charged so far
-  // this launch, the charge of its last executed sweep and that sweep's
-  // index (0 between launches, when the charge carries over). It carries
-  // over between consecutive launches of geometry replay_cfg_ ({0, 0}
-  // when nothing carries).
+  // this launch, the charge of its last executed sweep (checked to fit 32
+  // bits, which keeps the entry at 16 bytes) and that sweep's index (0
+  // between launches, when the charge carries over). It carries over
+  // between consecutive launches of geometry replay_cfg_ ({0, 0} when
+  // nothing carries).
   struct Replay {
     u64 work = 0;
-    u64 sweep_work = 0;
+    u32 sweep_work = 0;
     u32 last_sweep = 0;
   };
+  static_assert(sizeof(Replay) == 16);
   std::vector<Replay> replay_;
   LaunchConfig replay_cfg_{0, 0};
   // Per-block modeled-LLC slices (empty while the cache is disabled).

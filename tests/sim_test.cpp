@@ -466,6 +466,26 @@ TEST(BlockJacobi, FirstSweepSubsetNeedsTheSameGeometry) {
                CheckFailure);
 }
 
+TEST(BlockJacobi, OneSweepChargeMustFitTheReplayTable) {
+  // The replay table keeps a thread's last sweep charge in 32 bits.
+  const auto commit = [](u32, u64 inner, std::vector<u32>& dirty) {
+    dirty.push_back(1);
+    return inner < 3;
+  };
+  const auto charge = [](u64 cycles) {
+    return [cycles](ThreadCtx& ctx, u64) { ctx.charge_alu(cycles); };
+  };
+  Device dev;
+  const u64 top = ~u32{0};
+  const KernelStats fits =
+      dev.launch_block_jacobi("fits", {1, 2}, charge(top), commit);
+  // Thread 0 replays its charge in sweeps 2 and 3; nothing wraps.
+  EXPECT_EQ(fits.cost.thread_work, 6 * top);
+  EXPECT_THROW(
+      dev.launch_block_jacobi("over", {1, 2}, charge(top + 1), commit),
+      CheckFailure);
+}
+
 /// Launch a one-block Jacobi kernel whose first commit names `dirty`.
 void launch_with_dirty_list(std::vector<u32> names) {
   Device dev;
