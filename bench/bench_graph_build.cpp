@@ -6,13 +6,13 @@
 //   1. build_1_vs_n_threads — Builder::build() on the largest suite
 //      inputs' edge lists, the one assembly pipeline at 1 build thread
 //      vs. N (set_build_threads), with a byte-identity check between the
-//      two outputs;
+//      two outputs; every median sits next to its fastest and slowest run;
 //   2. build_worker_attribution — per-worker busy time / task counts from
 //      the ingest pool while the N-thread build runs (on a single-core
 //      host, wall-clock speedup is unavailable, so this is the evidence
 //      that the pipeline actually fans out);
 //   3. parse_serial_vs_parallel — chunked Matrix Market / edge-list /
-//      DIMACS parsing at 1 vs. N ingest threads;
+//      DIMACS parsing at 1 vs. N ingest threads, with the same spread;
 //   4. cache_cold_vs_warm — cold generate+build vs. warm cache hit for the
 //      same inputs, with the speedup factor (target: >= 5x);
 //   5. build_peak_rss — materialized (stage the stream into a Builder,
@@ -60,9 +60,16 @@ std::string bytes_of(const graph::Csr& g) {
   return std::move(ss).str();
 }
 
-/// Median-of-runs wall time for fn(), in milliseconds.
+/// Wall time of repeated fn() calls, in milliseconds: the median and the
+/// fastest and slowest run, so a table can show its spread.
+struct RunsMs {
+  double median;
+  double min;
+  double max;
+};
+
 template <typename Fn>
-double median_ms(int runs, Fn&& fn) {
+RunsMs median_ms(int runs, Fn&& fn) {
   std::vector<double> ms;
   for (int r = 0; r < runs; ++r) {
     Timer t;
@@ -70,7 +77,7 @@ double median_ms(int runs, Fn&& fn) {
     ms.push_back(t.milliseconds());
   }
   std::sort(ms.begin(), ms.end());
-  return ms[ms.size() / 2];
+  return {ms[ms.size() / 2], ms.front(), ms.back()};
 }
 
 /// Extract the raw edge list (and vertex count) a suite input's CSR
@@ -156,8 +163,9 @@ int main(int argc, char** argv) {
     const u32 fan_threads = threads > 1 ? threads : 7;
     Table t("CSR assembly: 1 vs. " + std::to_string(fan_threads) +
             " build threads");
-    t.set_header({"Graph", "Edges", "1-thread ms", "N-thread ms", "speedup",
-                  "identical"});
+    t.set_header({"Graph", "Edges", "1-thread ms", "1-thread min",
+                  "1-thread max", "N-thread ms", "N-thread min",
+                  "N-thread max", "speedup", "identical"});
     Table w("Parallel build: per-worker attribution (" +
             std::to_string(fan_threads) + " build threads)");
     w.set_header({"Graph", "workers used", "tasks", "busy ms total",
@@ -171,7 +179,7 @@ int main(int argc, char** argv) {
 
       set_build_threads(1);  // the pipeline runs inline on the caller
       graph::Csr one_g;
-      const double one_ms = median_ms(
+      const RunsMs one = median_ms(
           ctx.runs, [&] { one_g = graph::from_edges(n, edges, opt); });
 
       set_build_threads(fan_threads);
@@ -179,14 +187,16 @@ int main(int argc, char** argv) {
       ECLP_CHECK(pool != nullptr);
       ECLP_CHECK(pool->claim_sampling());
       graph::Csr n_g;
-      const double n_ms = median_ms(
+      const RunsMs many = median_ms(
           ctx.runs, [&] { n_g = graph::from_edges(n, edges, opt); });
       pool->release_sampling();
 
       const bool identical = bytes_of(one_g) == bytes_of(n_g);
       t.add_row({name, std::to_string(edges.size()),
-                 fmt::fixed(one_ms, 2), fmt::fixed(n_ms, 2),
-                 fmt::fixed(one_ms / n_ms, 2),
+                 fmt::fixed(one.median, 2), fmt::fixed(one.min, 2),
+                 fmt::fixed(one.max, 2), fmt::fixed(many.median, 2),
+                 fmt::fixed(many.min, 2), fmt::fixed(many.max, 2),
+                 fmt::fixed(one.median / many.median, 2),
                  identical ? "yes" : "NO"});
       ECLP_CHECK_MSG(identical, "N-thread build diverged from 1 thread");
 
@@ -217,7 +227,9 @@ int main(int argc, char** argv) {
     const u32 fan_threads = threads > 1 ? threads : 7;
     Table t("Text parsing: 1 thread vs. " + std::to_string(fan_threads) +
             " threads");
-    t.set_header({"Format", "bytes", "1-thread ms", "N-thread ms", "speedup"});
+    t.set_header({"Format", "bytes", "1-thread ms", "1-thread min",
+                  "1-thread max", "N-thread ms", "N-thread min",
+                  "N-thread max", "speedup"});
     const auto g = gen::find_input("soc-LiveJournal1").make(ctx.scale);
     const auto weighted = graph::with_random_weights(g, 7);
     struct Fmt {
@@ -253,11 +265,14 @@ int main(int argc, char** argv) {
     }
     for (const auto& f : fmts) {
       set_build_threads(1);
-      const double one_ms = median_ms(ctx.runs, [&] { f.parse(); });
+      const RunsMs one = median_ms(ctx.runs, [&] { f.parse(); });
       set_build_threads(fan_threads);
-      const double n_ms = median_ms(ctx.runs, [&] { f.parse(); });
-      t.add_row({f.name, std::to_string(f.text.size()), fmt::fixed(one_ms, 2),
-                 fmt::fixed(n_ms, 2), fmt::fixed(one_ms / n_ms, 2)});
+      const RunsMs many = median_ms(ctx.runs, [&] { f.parse(); });
+      t.add_row({f.name, std::to_string(f.text.size()),
+                 fmt::fixed(one.median, 2), fmt::fixed(one.min, 2),
+                 fmt::fixed(one.max, 2), fmt::fixed(many.median, 2),
+                 fmt::fixed(many.min, 2), fmt::fixed(many.max, 2),
+                 fmt::fixed(one.median / many.median, 2)});
     }
     set_build_threads(threads);
     harness::emit(ctx, "parse_serial_vs_parallel", t);
@@ -277,7 +292,7 @@ int main(int argc, char** argv) {
       spec.make(ctx.scale);
       const double cold_ms = cold_t.milliseconds();
       const double warm_ms =
-          median_ms(ctx.runs, [&] { spec.make(ctx.scale); });
+          median_ms(ctx.runs, [&] { spec.make(ctx.scale); }).median;
       t.add_row({name, fmt::fixed(cold_ms, 2), fmt::fixed(warm_ms, 2),
                  fmt::fixed(cold_ms / warm_ms, 1),
                  std::to_string(graph::cache_stats().hits)});
