@@ -23,6 +23,8 @@
 //      stay under 2x the final CSR bytes;
 //   6. gen_throughput_scaling — streamed generation+build throughput
 //      (million edges per second) across ingest thread counts.
+// Every table repeats each measurement --runs times and prints its median
+// next to the fastest (or smallest) and slowest (or largest) run.
 #include <filesystem>
 #include <sstream>
 #include <vector>
@@ -68,6 +70,12 @@ struct RunsMs {
   double max;
 };
 
+/// Median, min and max of a non-empty sample.
+RunsMs spread_of(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  return {xs[xs.size() / 2], xs.front(), xs.back()};
+}
+
 template <typename Fn>
 RunsMs median_ms(int runs, Fn&& fn) {
   std::vector<double> ms;
@@ -76,8 +84,14 @@ RunsMs median_ms(int runs, Fn&& fn) {
     fn();
     ms.push_back(t.milliseconds());
   }
-  std::sort(ms.begin(), ms.end());
-  return {ms[ms.size() / 2], ms.front(), ms.back()};
+  return spread_of(std::move(ms));
+}
+
+/// A median cell followed by its min and max cells.
+void add_spread(std::vector<std::string>& row, const RunsMs& s, int digits) {
+  row.push_back(fmt::fixed(s.median, digits));
+  row.push_back(fmt::fixed(s.min, digits));
+  row.push_back(fmt::fixed(s.max, digits));
 }
 
 /// Extract the raw edge list (and vertex count) a suite input's CSR
@@ -336,30 +350,55 @@ int main(int argc, char** argv) {
     Table t("Peak build memory: materialized edge list vs. chunked stream (" +
             std::to_string(fan_threads) + " ingest threads)");
     t.set_header({"Graph", "emitted", "arcs", "csr MiB", "mat peak MiB",
-                  "mat ms", "stream peak MiB", "stream ms", "stream peak/csr",
-                  "identical"});
+                  "mat peak min", "mat peak max", "mat ms", "mat min",
+                  "mat max", "stream peak MiB", "stream peak min",
+                  "stream peak max", "stream ms", "stream min", "stream max",
+                  "stream peak/csr", "identical"});
+    constexpr double kMiB = 1024.0 * 1024.0;
     for (const auto& row : rows) {
-      // Peak RSS is a property of one execution, not a timing median —
-      // single run per arm (the huge arms are also far too big to repeat).
-      const auto mat = measure_peak(row.materialized);
-      const auto stream = measure_peak(row.streamed);
-      const bool identical = bytes_of(mat.g) == bytes_of(stream.g);
-      const double csr_mib = static_cast<double>(csr_bytes(stream.g)) /
-                             (1024.0 * 1024.0);
-      const double mat_mib =
-          static_cast<double>(mat.peak_delta) / (1024.0 * 1024.0);
-      const double stream_mib =
-          static_cast<double>(stream.peak_delta) / (1024.0 * 1024.0);
-      t.add_row({row.name, std::to_string(row.emitted),
-                 std::to_string(stream.g.num_edges()), fmt::fixed(csr_mib, 1),
-                 mat.peak_delta == 0 ? "-" : fmt::fixed(mat_mib, 1),
-                 fmt::fixed(mat.ms, 0),
-                 stream.peak_delta == 0 ? "-" : fmt::fixed(stream_mib, 1),
-                 fmt::fixed(stream.ms, 0),
-                 stream.peak_delta == 0 ? "-"
-                                        : fmt::fixed(stream_mib / csr_mib, 2),
-                 identical ? "yes" : "NO"});
-      ECLP_CHECK_MSG(identical, "streamed build diverged from materialized");
+      // Each run builds both arms, one at a time; only the first run's
+      // graphs are compared and counted, so no run holds more than the
+      // single-run bench did.
+      std::vector<double> mat_ms, mat_peak, stream_ms, stream_peak;
+      bool peaks_known = true;
+      u64 arcs = 0;
+      double csr_mib = 0;
+      for (int r = 0; r < ctx.runs; ++r) {
+        const auto mat = measure_peak(row.materialized);
+        const auto stream = measure_peak(row.streamed);
+        mat_ms.push_back(mat.ms);
+        stream_ms.push_back(stream.ms);
+        mat_peak.push_back(static_cast<double>(mat.peak_delta) / kMiB);
+        stream_peak.push_back(static_cast<double>(stream.peak_delta) / kMiB);
+        peaks_known = peaks_known && mat.peak_delta != 0 &&
+                      stream.peak_delta != 0;
+        if (r == 0) {
+          ECLP_CHECK_MSG(bytes_of(mat.g) == bytes_of(stream.g),
+                         "streamed build diverged from materialized");
+          arcs = stream.g.num_edges();
+          csr_mib = static_cast<double>(csr_bytes(stream.g)) / kMiB;
+        }
+      }
+      std::vector<std::string> cells = {row.name, std::to_string(row.emitted),
+                                        std::to_string(arcs),
+                                        fmt::fixed(csr_mib, 1)};
+      const auto add_peak = [&](const std::vector<double>& peaks) {
+        if (peaks_known) {
+          add_spread(cells, spread_of(peaks), 1);
+        } else {
+          cells.insert(cells.end(), {"-", "-", "-"});
+        }
+      };
+      add_peak(mat_peak);
+      add_spread(cells, spread_of(mat_ms), 0);
+      add_peak(stream_peak);
+      add_spread(cells, spread_of(stream_ms), 0);
+      cells.push_back(peaks_known
+                          ? fmt::fixed(spread_of(stream_peak).median / csr_mib,
+                                       2)
+                          : "-");
+      cells.push_back("yes");
+      t.add_row(cells);
     }
     set_build_threads(threads);
     harness::emit(ctx, "build_peak_rss", t);
@@ -372,19 +411,24 @@ int main(int argc, char** argv) {
     const gen::UniformRandomStream source(un, static_cast<u64>(un) * 4, 1);
     Table t(std::string("Streamed generation throughput: r4-2e23.sym (") +
             (huge ? "huge" : "tiny") + "), chunked two-pass build");
-    t.set_header({"threads", "build ms", "Medges/s"});
+    t.set_header({"threads", "build ms", "build min", "build max",
+                  "Medges/s", "Medges/s min", "Medges/s max"});
+    // Throughput counts canonical-sequence edges generated (each edge is
+    // emitted twice — histogram and scatter pass — but lands once).
+    const double medges = static_cast<double>(source.estimated_edges()) / 1e6;
     for (const u32 n_threads : {1u, 2u, 4u, 7u}) {
       set_build_threads(n_threads);
-      Timer t_build;
-      const auto g = graph::build_from_chunks(source);
-      const double ms = t_build.milliseconds();
-      // Throughput counts canonical-sequence edges generated (each edge is
-      // emitted twice — histogram and scatter pass — but lands once).
-      const double medges =
-          static_cast<double>(source.estimated_edges()) / 1e6;
-      t.add_row({std::to_string(n_threads), fmt::fixed(ms, 0),
-                 fmt::fixed(medges / (ms / 1000.0), 2)});
-      ECLP_CHECK(g.num_edges() > 0);
+      const RunsMs ms = median_ms(ctx.runs, [&] {
+        ECLP_CHECK(graph::build_from_chunks(source).num_edges() > 0);
+      });
+      std::vector<std::string> cells = {std::to_string(n_threads)};
+      add_spread(cells, ms, 0);
+      // The slowest build gives the lowest throughput.
+      add_spread(cells,
+                 {medges / (ms.median / 1000.0), medges / (ms.max / 1000.0),
+                  medges / (ms.min / 1000.0)},
+                 2);
+      t.add_row(cells);
     }
     set_build_threads(threads);
     harness::emit(ctx, "gen_throughput_scaling", t);

@@ -129,7 +129,6 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
   for (vidx v = 0; v < n; ++v) dag_off[v + 1] = dag_off[v] + indeg[v];
   std::vector<vidx> dag_in(dag_off[n]);
   dev.register_buffer(dag_in);
-  std::vector<u8> dep_removed(dag_off[n], 0);  // Shortcut 2 edge removal
   sim::ops::advance(
       dev, "gc_init_dag", init_cfg, g, sim::ops::all_vertices(n), init_shape,
       [&](sim::ThreadCtx&, vidx v, u32) { return dag_off[v]; },  // out cursor
@@ -144,6 +143,24 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
   std::vector<u32> widths(n);
   for (vidx v = 0; v < n; ++v) widths[v] = indeg[v] + 1;
   Bitmaps maps(widths);
+
+  // Dependency lists. The front of v's dag_in row holds, in DAG order, the
+  // dependencies a pass still has to look at: the uncolored ones and those
+  // Shortcut 2 removed. A colored dependency prunes v's bitmap once and is
+  // then dropped — clearing is idempotent and bits never come back. dep_pos
+  // holds each entry's position in the full row, plus kRemoved once
+  // Shortcut 2 drops it; `pending` is the list length, which starts as the
+  // in-degree. The pass charges what a scan of the full row would, from
+  // these positions and counts.
+  constexpr u32 kRemoved = u32{1} << 31;
+  ECLP_CHECK(n <= kRemoved);  // row positions stay below the removed bit
+  std::vector<u32> dep_pos(dag_off[n]);
+  for (vidx v = 0; v < n; ++v) {
+    for (eidx e = dag_off[v]; e < dag_off[v + 1]; ++e) {
+      dep_pos[e] = static_cast<u32>(e - dag_off[v]);
+    }
+  }
+  std::vector<u32>& pending = indeg;
 
   std::vector<u32> color(n, kNoColor);
   profile::PerVertexCounter best_changed(n);
@@ -168,18 +185,34 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
   };
   const auto coloring_pass = [&](vidx v, bool is_large,
                                  PassCost& cost) -> bool {
+    const eidx row = dag_off[v];
+    const u32 deg = static_cast<u32>(dag_off[v + 1] - row);
+    vidx* const deps = dag_in.data() + row;
+    u32* const pos = dep_pos.data() + row;
     // Prune candidates by colors claimed by colored higher-priority
-    // neighbors; detect invalidation of the current best.
+    // neighbors, dropping those from the list; detect invalidation of the
+    // current best. A full-row scan reads every dependency not removed and
+    // writes (prunes) every colored one.
     const u32 old_best = maps.best(v);
-    for (eidx e = dag_off[v]; e < dag_off[v + 1]; ++e) {
-      if (dep_removed[e]) continue;
-      const vidx u = dag_in[e];
-      cost.reads++;
-      if (color[u] != kNoColor) {
-        maps.clear(v, color[u]);
-        cost.writes++;
+    u32 removed = 0;
+    u32 kept = 0;
+    for (u32 i = 0; i < pending[v]; ++i) {
+      const vidx u = deps[i];
+      if ((pos[i] & kRemoved) == 0) {
+        if (color[u] != kNoColor) {
+          maps.clear(v, color[u]);
+          continue;
+        }
+      } else {
+        ++removed;
       }
+      deps[kept] = u;
+      pos[kept] = pos[i];
+      ++kept;
     }
+    pending[v] = kept;
+    cost.reads += deg - removed;
+    cost.writes += deg - kept;
     const u32 best = maps.best(v);
     ECLP_CHECK_MSG(best != kNoColor, "GC bitmap exhausted at vertex " << v);
     if (is_large && best != old_best) best_changed.inc(v);
@@ -187,38 +220,51 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
     // Shortcut 1: v may take `best` once no live higher-priority dependency
     // still considers it. Shortcut 2: drop dependencies with disjoint sets.
     // Without shortcuts (strict JP): any uncolored dependency blocks v.
+    // Every live entry left is uncolored. A full-row scan up to the
+    // blocking entry (or the row's end) reads each entry not removed before
+    // it, plus one bitmap probe per live entry it tests.
     bool blocked = false;
-    for (eidx e = dag_off[v]; e < dag_off[v + 1]; ++e) {
-      if (dep_removed[e]) continue;
-      const vidx u = dag_in[e];
-      cost.reads++;
-      if (color[u] != kNoColor) continue;  // colored: already pruned above
-      if (!opt.use_shortcuts) {
-        blocked = true;
-        break;
-      }
-      cost.reads++;  // the neighbor's bitmap words
-      if (maps.disjoint(v, u)) {
-        dep_removed[e] = 1;
-        res.shortcut2_removals++;
+    u32 last = deg;
+    u32 removed_before = 0;
+    u64 probes = 0;
+    for (u32 i = 0; i < kept; ++i) {
+      if ((pos[i] & kRemoved) != 0) {
+        ++removed_before;
         continue;
       }
-      if (maps.test(u, best)) {
-        blocked = true;
-        break;  // u might still take our best color
+      const vidx u = deps[i];
+      if (opt.use_shortcuts) {
+        ++probes;  // the neighbor's bitmap words
+        if (maps.disjoint(v, u)) {
+          pos[i] |= kRemoved;
+          res.shortcut2_removals++;
+          continue;
+        }
+        if (!maps.test(u, best)) continue;  // u cannot take our best color
       }
+      blocked = true;
+      last = pos[i] + 1;
+      break;
     }
+    cost.reads += last - removed_before + probes;
     if (blocked) {
       if (is_large) not_yet_possible.inc(v);
       return false;
     }
     // Count shortcut-1 colorings: some live dependency is still uncolored.
-    for (eidx e = dag_off[v]; e < dag_off[v + 1]; ++e) {
-      cost.reads++;
-      if (!dep_removed[e] && color[dag_in[e]] == kNoColor) {
-        res.shortcut1_colorings++;
+    // A full-row scan reads up to and including the first one.
+    u32 first_live = deg;
+    for (u32 i = 0; i < kept; ++i) {
+      if ((pos[i] & kRemoved) == 0) {
+        first_live = pos[i];
         break;
       }
+    }
+    if (first_live < deg) {
+      res.shortcut1_colorings++;
+      cost.reads += first_live + 1;
+    } else {
+      cost.reads += deg;
     }
     color[v] = best;
     cost.writes++;

@@ -111,11 +111,10 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
   // Light/heavy split (the filter step for denser graphs, paper §2.4).
   weight_t threshold = ~weight_t{0};
   if (opt.filter_percentile > 0.0 && num_edges > 0) {
-    std::vector<double> ws;
-    ws.reserve(num_edges);
-    for (const auto& e : edges) ws.push_back(static_cast<double>(e.w));
-    threshold = static_cast<weight_t>(
-        stats::percentile(ws, opt.filter_percentile));
+    std::vector<weight_t> ws(num_edges);
+    for (u32 e = 0; e < num_edges; ++e) ws[e] = edges[e].w;
+    threshold =
+        static_cast<weight_t>(stats::percentile(ws, opt.filter_percentile));
     dev.host_op();  // computing the split threshold
   }
   std::vector<u32> worklist, heavy;
@@ -133,6 +132,16 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
   profile::ConflictTracker conflicts;
   u32 regular_index = 0, filter_index = 0;
   bool filtering = false;
+
+  // K1's in-flight atomics and K3's compacted worklist, kept across
+  // iterations so their capacity is reused.
+  struct Intent {
+    vidx root;
+    u64 packed;
+    u32 thread;
+  };
+  std::vector<Intent> in_flight;
+  std::vector<u32> next;
 
   while (!worklist.empty() || !heavy.empty()) {
     if (worklist.empty()) {
@@ -167,12 +176,6 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
     // end of the block (the simulator runs threads sequentially, so without
     // this batching every pre-checked atomicMin would succeed and the
     // useless-atomic behaviour of the paper's Figure 2 could never appear).
-    struct Intent {
-      vidx root;
-      u64 packed;
-      u32 thread;
-    };
-    std::vector<Intent> in_flight;
     const auto flush_in_flight = [&](sim::ThreadCtx& ctx) {
       for (const Intent& intent : in_flight) {
         if (opt.record_iteration_metrics) {
@@ -245,7 +248,7 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
                       });
 
     // --- K3: worklist compaction ----------------------------------------------
-    std::vector<u32> next;
+    next.clear();
     next.reserve(worklist.size());
     u64 write_pos = 0;
     sim::ops::compute(dev, "mst_k3_compact", cfg,

@@ -36,10 +36,12 @@
 // cost-charging internals").
 //
 // Cost charging is batched: a ThreadCtx accumulates its cycle tally in a
-// local register and flushes it into the per-thread work table once per
-// body/step invocation, instead of touching shared state on every memory
-// op. The flushed sums are identical to per-op charging (addition is
-// associative; see DESIGN.md §2), so every modeled number is unchanged.
+// local register and hands it over once per body/step invocation, instead
+// of touching shared state on every memory op. A thread that runs once
+// adds its tally straight into its block's sums; only launch_cooperative,
+// whose threads take many steps, keeps a per-thread work table. The sums
+// are identical to per-op charging (addition is associative; see DESIGN.md
+// §2), so every modeled number is unchanged.
 //
 // Determinism: with ScheduleMode::kDeterministic every run is bit-identical.
 // With kShuffled, step order is a pure function of the device seed, so
@@ -131,9 +133,9 @@ class LaunchObserver {
 /// Handle passed to kernel bodies; identifies the thread and provides
 /// instrumented operations that charge the cost model.
 ///
-/// Charges accumulate in `pending_` (a local/register tally) and are
-/// flushed into the device's per-thread work table once per body/step
-/// invocation by the launch loop — never per operation.
+/// Charges accumulate in `pending_` (a local/register tally) that the
+/// launch loop collects once per body/step invocation — never per
+/// operation.
 class ThreadCtx {
  public:
   u32 block_idx() const { return block_; }
@@ -308,7 +310,8 @@ class Device {
     begin_observation();
     const u64 atomics_before = atomics_.total();
     const u64 launch_index = launches_;
-    work_.assign(cfg.total_threads(), 0);
+    const u32 tpb = cfg.threads_per_block;
+    block_work_.assign(cfg.blocks, {});
     prepare_caches(cfg.blocks);
 
     if (cfg.block_independent) {
@@ -318,36 +321,41 @@ class Device {
       // is a pure function of (seed, launch index, block) and bit-identical
       // for any worker count.
       run_blocks(cfg, [&](u32 b, AtomicStats& shard) {
+        ThreadCtx ctx = make_ctx(cfg, b, 0, &shard);
+        BlockWork block;
         if (mode_ == ScheduleMode::kDeterministic) {
-          for (u32 t = 0; t < cfg.threads_per_block; ++t) {
-            run_thread(cfg, b, t, &shard, body);
-          }
+          for (u32 t = 0; t < tpb; ++t) run_in_block(ctx, t, block, body);
         } else {
           Rng block_rng(block_stream_seed(launch_index, b));
-          for (const u32 t : block_rng.permutation(cfg.threads_per_block)) {
-            run_thread(cfg, b, t, &shard, body);
+          for (const u32 t : block_rng.permutation(tpb)) {
+            run_in_block(ctx, t, block, body);
           }
         }
+        block_work_[b] = block;
       });
     } else if (mode_ == ScheduleMode::kDeterministic) {
       for (u32 b = 0; b < cfg.blocks; ++b) {
-        for (u32 t = 0; t < cfg.threads_per_block; ++t) {
-          run_thread(cfg, b, t, nullptr, body);
-        }
+        ThreadCtx ctx = make_ctx(cfg, b, 0);
+        BlockWork block;
+        for (u32 t = 0; t < tpb; ++t) run_in_block(ctx, t, block, body);
+        block_work_[b] = block;
       }
     } else {
-      // Shuffled run-to-completion: a seeded permutation of global ids.
+      // Shuffled run-to-completion: a seeded permutation of global ids, so
+      // consecutive threads belong to different blocks.
       const auto order = rng_.permutation(cfg.total_threads());
       for (const u32 gid : order) {
-        run_thread(cfg, gid / cfg.threads_per_block,
-                   gid % cfg.threads_per_block, nullptr, body);
+        const u32 b = gid / tpb;
+        ThreadCtx ctx = make_ctx(cfg, b, gid % tpb);
+        body(ctx);
+        block_work_[b].add_thread(ctx.pending_);
       }
     }
 
     KernelStats ks;
     ks.name = name;
     ks.config = cfg;
-    ks.cost = finalize_thread_work(cfg);
+    ks.cost = finalize_cost(cfg);
     record_trace(ks, atomics_before);
     return ks;
   }
@@ -655,8 +663,8 @@ class Device {
   };
   /// Cost the launch from block_work_ and charge it to the device.
   KernelCost finalize_cost(const LaunchConfig& cfg);
-  /// finalize_cost for the run-to-completion disciplines: block_work_
-  /// summed from the work_ table first.
+  /// finalize_cost for launch_cooperative: block_work_ summed from the
+  /// work_ table first.
   KernelCost finalize_thread_work(const LaunchConfig& cfg);
   /// Hand the finished launch to the observer, if one is attached.
   void record_trace(const KernelStats& stats, u64 atomics_before);
@@ -703,7 +711,7 @@ class Device {
   }
 
   /// Commit a context's accumulated tally into its thread's work_ slot;
-  /// called after every body/step invocation.
+  /// called after every cooperative step.
   void flush_cost(ThreadCtx& ctx) {
     work_[ctx.global_] += ctx.pending_;
     ctx.pending_ = 0;
@@ -717,13 +725,16 @@ class Device {
     return n;
   }
 
-  /// Run one thread's body and flush its batched cost tally.
+  /// Run thread `thread` of a block's context to completion and add its
+  /// tally to the block's sum. Order does not matter: a block sums its
+  /// threads' work, keeps the longest and counts the busy ones.
   template <typename Body>
-  void run_thread(const LaunchConfig& cfg, u32 block, u32 thread,
-                  AtomicStats* stats, Body& body) {
-    ThreadCtx ctx = make_ctx(cfg, block, thread, stats);
+  static void run_in_block(ThreadCtx& ctx, u32 thread, BlockWork& block,
+                           Body& body) {
+    point_ctx(ctx, thread);
     body(ctx);
-    flush_cost(ctx);
+    block.add_thread(ctx.pending_);
+    ctx.pending_ = 0;
   }
 
   /// Execute `block_body(block, stats_shard)` for every block of a
@@ -778,9 +789,9 @@ class Device {
   // only while observing. Capacity reused across launches.
   std::vector<u64> block_cycles_;
   Pool* pool_ = nullptr;
-  // Work accumulator of the launch()/launch_cooperative() currently
-  // executing; capacity is reused across launches (assign, not
-  // reconstruct).
+  // Per-thread work of the launch_cooperative() currently executing, whose
+  // threads take many steps; capacity is reused across launches (assign,
+  // not reconstruct). The other disciplines sum straight into block_work_.
   std::vector<u64> work_;
   // Per-block sums of the launch currently finalizing.
   std::vector<BlockWork> block_work_;

@@ -38,7 +38,8 @@ Summary summarize_impl(std::span<const T> xs) {
 
 /// Partition `v` so that v[k] holds the k-th smallest value (what a full sort
 /// would put there) and every element before it is no larger. O(n) average.
-double select_rank(std::vector<double>& v, usize k) {
+template <typename T>
+T select_rank(std::vector<T>& v, usize k) {
   std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(k),
                    v.end());
   return v[k];
@@ -46,9 +47,27 @@ double select_rank(std::vector<double>& v, usize k) {
 
 /// After select_rank(v, k): the (k+1)-th smallest value, the least element
 /// of the partition's upper side. O(n).
-double next_rank(const std::vector<double>& v, usize k) {
+template <typename T>
+T next_rank(const std::vector<T>& v, usize k) {
   return *std::min_element(v.begin() + static_cast<std::ptrdiff_t>(k) + 1,
                            v.end());
+}
+
+/// percentile() over a sample type whose values convert to double exactly
+/// and in order: the ranks are selected in T, then interpolated in double.
+template <typename T>
+double percentile_impl(std::span<const T> xs, double p) {
+  ECLP_CHECK(!xs.empty());
+  ECLP_CHECK(p >= 0.0 && p <= 100.0);
+  if (xs.size() == 1) return static_cast<double>(xs[0]);
+  std::vector<T> v(xs.begin(), xs.end());
+  const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
+  const usize lo = static_cast<usize>(rank);
+  const double frac = rank - static_cast<double>(lo);
+  const double at_lo = static_cast<double>(select_rank(v, lo));
+  const double at_hi =
+      lo + 1 < v.size() ? static_cast<double>(next_rank(v, lo)) : at_lo;
+  return at_lo + frac * (at_hi - at_lo);
 }
 
 double median_in_place(std::vector<double>& v) {
@@ -79,16 +98,11 @@ double median(std::span<const u64> xs) {
 }
 
 double percentile(std::span<const double> xs, double p) {
-  ECLP_CHECK(!xs.empty());
-  ECLP_CHECK(p >= 0.0 && p <= 100.0);
-  if (xs.size() == 1) return xs[0];
-  std::vector<double> v(xs.begin(), xs.end());
-  const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
-  const usize lo = static_cast<usize>(rank);
-  const double frac = rank - static_cast<double>(lo);
-  const double at_lo = select_rank(v, lo);
-  const double at_hi = lo + 1 < v.size() ? next_rank(v, lo) : at_lo;
-  return at_lo + frac * (at_hi - at_lo);
+  return percentile_impl(xs, p);
+}
+
+double percentile(std::span<const u32> xs, double p) {
+  return percentile_impl(xs, p);
 }
 
 double pearson(std::span<const double> xs, std::span<const double> ys) {

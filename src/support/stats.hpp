@@ -39,6 +39,10 @@ double median(std::span<const u64> xs);
 /// p-th percentile in [0,100] via linear interpolation between the two
 /// neighbouring ranks.
 double percentile(std::span<const double> xs, double p);
+/// The same for integer samples: the ranks are selected on the integers,
+/// without a double copy, and interpolated in double, so the result is
+/// bit-identical to percentile() over the samples converted to double.
+double percentile(std::span<const u32> xs, double p);
 
 /// Pearson correlation coefficient r between two equally-sized samples.
 /// Returns 0 when either sample has zero variance.

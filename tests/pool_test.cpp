@@ -3,6 +3,7 @@
 // order, worker-count-independent counters, exception propagation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <cstdlib>
@@ -288,6 +289,84 @@ TEST(BlockIndependentDispatch, ExceptionReportsLowestFailingBlock) {
     ctx.charge_alu(1);
   });
   EXPECT_EQ(ks.cost.active_threads, 4u);
+}
+
+/// Cycles the block-tally kernel charges thread `gid`: zero for every
+/// fourth thread and for all of block 3, one heavy thread in block 1 that
+/// outlasts its block's lane throughput, varied amounts elsewhere.
+u64 tally_work(u32 gid, u32 tpb) {
+  if (gid / tpb == 3 || gid % 4 == 0) return 0;
+  if (gid == tpb + 5) return 5000;
+  return (gid * 37) % 101 + 1;
+}
+
+/// A run-to-completion launch sums each thread's work into its block as the
+/// thread finishes. Every KernelCost field must equal the sums worked out
+/// by hand from the per-thread charges, for any schedule, block
+/// independence and worker count.
+TEST(BlockIndependentDispatch, BlockTallyMatchesHandSummedCost) {
+  const CostModel cost;
+  const LaunchConfig base{11, 24};
+  const u32 tpb = base.threads_per_block;
+
+  KernelCost want;
+  u64 block_time_total = 0;
+  for (u32 b = 0; b < base.blocks; ++b) {
+    u64 work = 0, longest = 0;
+    for (u32 t = 0; t < tpb; ++t) {
+      const u64 w = tally_work(b * tpb + t, tpb);
+      work += w;
+      longest = std::max(longest, w);
+      want.active_threads += w > 0 ? 1 : 0;
+    }
+    want.thread_work += work;
+    want.max_thread_work = std::max(want.max_thread_work, longest);
+    const u64 lanes_time = (work + cost.lanes_per_sm - 1) / cost.lanes_per_sm;
+    const u64 block_time = cost.block_overhead + std::max(lanes_time, longest);
+    block_time_total += block_time;
+    want.max_block_time = std::max(want.max_block_time, block_time);
+  }
+  want.idle_threads = base.total_threads() - want.active_threads;
+  want.block_time = block_time_total;
+  want.modeled_cycles =
+      cost.launch_overhead +
+      std::max((block_time_total + cost.sm_count - 1) / cost.sm_count,
+               want.max_block_time);
+  // The heavy thread sets block 1's time, and block 3 charges nothing.
+  ASSERT_EQ(want.max_thread_work, 5000u);
+  ASSERT_EQ(want.max_block_time, cost.block_overhead + 5000);
+
+  for (const ScheduleMode mode :
+       {ScheduleMode::kDeterministic, ScheduleMode::kShuffled}) {
+    for (const bool independent : {false, true}) {
+      for (const u32 workers : {1u, 3u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "shuffled=" << (mode == ScheduleMode::kShuffled)
+                     << " block_independent=" << independent
+                     << " workers=" << workers);
+        Pool pool(workers);
+        Device dev(cost, 7, mode);
+        dev.set_pool(&pool);
+        LaunchConfig cfg = base;
+        cfg.block_independent = independent;
+        std::vector<u32> runs(cfg.total_threads(), 0);
+        const KernelStats ks = dev.launch("tally", cfg, [&](ThreadCtx& ctx) {
+          ++runs[ctx.global_id()];
+          ctx.charge_alu(tally_work(ctx.global_id(), ctx.block_dim()));
+        });
+        EXPECT_EQ(runs, std::vector<u32>(cfg.total_threads(), 1));
+        EXPECT_EQ(ks.cost.thread_work, want.thread_work);
+        EXPECT_EQ(ks.cost.max_thread_work, want.max_thread_work);
+        EXPECT_EQ(ks.cost.active_threads, want.active_threads);
+        EXPECT_EQ(ks.cost.idle_threads, want.idle_threads);
+        EXPECT_EQ(ks.cost.sync_cost, 0u);
+        EXPECT_EQ(ks.cost.block_time, want.block_time);
+        EXPECT_EQ(ks.cost.max_block_time, want.max_block_time);
+        EXPECT_EQ(ks.cost.modeled_cycles, want.modeled_cycles);
+        EXPECT_EQ(dev.total_cycles(), want.modeled_cycles);
+      }
+    }
+  }
 }
 
 /// Worker-sharded profile counters must fold to the same totals for any

@@ -262,6 +262,38 @@ TEST(Stats, OrderStatisticsMatchSortedReferenceExactly) {
             ref_median({9, 2, 2, 7, 1, 8}));
 }
 
+// ECL-MST picks its light/heavy split threshold from its u32 weights: the
+// integer overload must give the double path's value bit for bit.
+TEST(Stats, U32PercentileMatchesDoublePathExactly) {
+  constexpr u32 kMax = ~u32{0};
+  Rng rng(31);
+  std::vector<std::pair<std::string, std::vector<u32>>> samples;
+  samples.emplace_back("one", std::vector<u32>{42});
+  samples.emplace_back("one-max", std::vector<u32>{kMax});
+  samples.emplace_back("two", std::vector<u32>{kMax, 3});
+  samples.emplace_back("two-equal", std::vector<u32>{7, 7});
+  for (const usize n : {usize{7}, usize{8}, usize{1001}, usize{4096}}) {
+    std::vector<u32> dups, near_max;
+    for (usize i = 0; i < n; ++i) {
+      dups.push_back(static_cast<u32>(rng.below(5)));
+      // Values within 16 of 2^32 - 1, where a float copy would round.
+      near_max.push_back(kMax - static_cast<u32>(rng.below(17)));
+    }
+    const std::string tag = " n=" + std::to_string(n);
+    samples.emplace_back("duplicate-heavy" + tag, dups);
+    samples.emplace_back("near-max" + tag, near_max);
+  }
+  for (const auto& [name, xs] : samples) {
+    const std::vector<double> as_double(xs.begin(), xs.end());
+    for (const double p : {0.0, 12.5, 50.0, 99.0, 100.0}) {
+      const double want = stats::percentile(as_double, p);
+      EXPECT_EQ(stats::percentile(std::span<const u32>(xs), p), want)
+          << name << " p=" << p;
+      EXPECT_EQ(want, ref_percentile(as_double, p)) << name << " p=" << p;
+    }
+  }
+}
+
 TEST(Stats, PearsonPerfectCorrelation) {
   const std::vector<double> xs = {1, 2, 3, 4};
   const std::vector<double> ys = {2, 4, 6, 8};
