@@ -10,10 +10,9 @@ LabelPropResult label_prop_cc(sim::Device& dev, const graph::Csr& g,
   ECLP_CHECK_MSG(!g.directed(), "label_prop_cc expects an undirected graph");
   const vidx n = g.num_vertices();
   LabelPropResult res;
-  std::vector<vidx> label(n);
-  // Registered so the modeled LLC groups its lines by index, not by where
-  // the allocator happened to put the vector.
-  dev.register_buffer(label);
+  // Device memory, so the modeled LLC groups its lines by index, not by
+  // where the host allocator happened to put the array.
+  sim::DeviceVector<vidx> label(n);
   const u64 cycles_before = dev.total_cycles();
 
   const auto cfg = blocks_for(std::max<u64>(n, 1), threads_per_block);

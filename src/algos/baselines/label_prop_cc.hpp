@@ -14,7 +14,7 @@
 namespace eclp::algos::baselines {
 
 struct LabelPropResult {
-  std::vector<vidx> labels;
+  sim::DeviceVector<vidx> labels;
   u32 rounds = 0;
   u64 modeled_cycles = 0;
   u64 label_updates = 0;  ///< effective atomicMin operations

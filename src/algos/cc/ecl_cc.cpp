@@ -13,8 +13,8 @@ namespace {
 
 /// representative() from ECL-CC: walk the parent chain, shortcutting visited
 /// links to their grandparent (intermediate pointer jumping).
-vidx representative(sim::ThreadCtx& ctx, std::vector<vidx>& nstat, vidx v,
-                    Profile& prof) {
+vidx representative(sim::ThreadCtx& ctx, sim::DeviceVector<vidx>& nstat,
+                    vidx v, Profile& prof) {
   prof.representative_calls++;
   const vidx start = ctx.load(nstat[v]);
   vidx curr = start;
@@ -33,7 +33,7 @@ vidx representative(sim::ThreadCtx& ctx, std::vector<vidx>& nstat, vidx v,
 
 /// Hook the components of v and neighbor u (u < v). Both reps walk down via
 /// atomicCAS until the two chains meet (ECL-CC's lock-free union).
-void hook(sim::ThreadCtx& ctx, std::vector<vidx>& nstat, vidx vstat,
+void hook(sim::ThreadCtx& ctx, sim::DeviceVector<vidx>& nstat, vidx vstat,
           vidx ostat, Profile& prof) {
   bool repeat;
   do {
@@ -66,7 +66,7 @@ void hook(sim::ThreadCtx& ctx, std::vector<vidx>& nstat, vidx vstat,
 /// Walk to the representative without charging: used by the non-leader
 /// lanes of a warp/block-per-vertex kernel, which receive the value lane 0
 /// computed via a register broadcast instead of redoing the chase.
-vidx representative_uncharged(const std::vector<vidx>& nstat, vidx v) {
+vidx representative_uncharged(const sim::DeviceVector<vidx>& nstat, vidx v) {
   vidx curr = nstat[v];
   while (curr != nstat[curr]) curr = nstat[curr];
   return curr;
@@ -81,8 +81,7 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
   Result res;
   res.profile = Profile{};
   Profile& prof = res.profile;
-  std::vector<vidx> nstat(n);
-  dev.register_buffer(nstat);
+  sim::DeviceVector<vidx> nstat(n);
 
   const u64 cycles_before = dev.total_cycles();
   if (opt.record_per_vertex_traversals) {

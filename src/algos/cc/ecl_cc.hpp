@@ -67,7 +67,7 @@ struct Profile {
 };
 
 struct Result {
-  std::vector<vidx> labels;  ///< component representative per vertex
+  sim::DeviceVector<vidx> labels;  ///< component representative per vertex
   Profile profile;
   u64 modeled_cycles = 0;
   u64 init_cycles = 0;  ///< init kernel's share (paper: 10-20% of runtime)

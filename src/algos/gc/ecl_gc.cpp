@@ -101,8 +101,7 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
 
   // --- initialization: LDF DAG + possible-color bitmaps ----------------------
   // DAG in-neighbors (higher-priority endpoints) per vertex, flattened.
-  std::vector<u32> indeg(n, 0);
-  dev.register_buffer(indeg);
+  sim::DeviceVector<u32> indeg(n, 0);
   std::vector<eidx> dag_off(static_cast<usize>(n) + 1, 0);
   // Both init kernels are pure per-vertex maps (each thread fills only its
   // own vertices' slots), so they run block-parallel; the coloring rounds
@@ -127,8 +126,7 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
       },
       [&](sim::ThreadCtx& ctx, vidx v, u32& d) { ctx.store(indeg[v], d); });
   for (vidx v = 0; v < n; ++v) dag_off[v + 1] = dag_off[v] + indeg[v];
-  std::vector<vidx> dag_in(dag_off[n]);
-  dev.register_buffer(dag_in);
+  sim::DeviceVector<vidx> dag_in(dag_off[n]);
   sim::ops::advance(
       dev, "gc_init_dag", init_cfg, g, sim::ops::all_vertices(n), init_shape,
       [&](sim::ThreadCtx&, vidx v, u32) { return dag_off[v]; },  // out cursor
@@ -160,7 +158,7 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
       dep_pos[e] = static_cast<u32>(e - dag_off[v]);
     }
   }
-  std::vector<u32>& pending = indeg;
+  sim::DeviceVector<u32>& pending = indeg;
 
   std::vector<u32> color(n, kNoColor);
   profile::PerVertexCounter best_changed(n);

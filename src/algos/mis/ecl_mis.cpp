@@ -50,8 +50,7 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
   const u32 total_threads = cfg.total_threads();
 
   Result res;
-  std::vector<u8> stat(n);
-  dev.register_buffer(stat);
+  sim::DeviceVector<u8> stat(n);
   const u64 cycles_before = dev.total_cycles();
 
   // --- initialization: one-byte status+priority per vertex -------------------
@@ -94,9 +93,8 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
   // In round-snapshot mode, neighbor statuses are read from `snap`, the
   // state published at the previous round boundary (see Options::Visibility).
   const bool jacobi = opt.visibility == Visibility::kRoundSnapshot;
-  std::vector<u8> snap = stat;
-  dev.register_buffer(snap);
-  const std::vector<u8>& view = jacobi ? snap : stat;
+  sim::DeviceVector<u8> snap = stat;
+  const sim::DeviceVector<u8>& view = jacobi ? snap : stat;
 
   const u64 quantum = opt.quantum;
   // Mid-round snapshot refresh cadence: after this many processed vertices

@@ -92,7 +92,7 @@ struct ThreadMetrics {
 };
 
 struct Result {
-  std::vector<u8> status;  ///< kIn / kOut per vertex
+  sim::DeviceVector<u8> status;  ///< kIn / kOut per vertex
   usize set_size = 0;
   ThreadMetrics metrics;
   u64 modeled_cycles = 0;

@@ -76,7 +76,7 @@ struct IterationMetrics {
 };
 
 struct Result {
-  std::vector<u8> in_mst;  ///< flag per unique edge (see unique_edges())
+  sim::DeviceVector<u8> in_mst;  ///< flag per unique edge (see unique_edges())
   u64 total_weight = 0;
   usize mst_edges = 0;
   /// K1-K3 rounds run, Regular and Filter together; counted whether or not

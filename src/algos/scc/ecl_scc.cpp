@@ -40,14 +40,9 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
   res.scc_id.assign(n, kNoVertex);
   const u64 cycles_before = dev.total_cycles();
 
-  std::vector<vidx> vin(n), vout(n);
-  std::vector<u8> settled(n, 0);
-  std::vector<u8> alive(num_arcs, 1);
-  dev.register_buffer(res.scc_id);
-  dev.register_buffer(vin);
-  dev.register_buffer(vout);
-  dev.register_buffer(settled);
-  dev.register_buffer(alive);
+  sim::DeviceVector<vidx> vin(n), vout(n);
+  sim::DeviceVector<u8> settled(n, 0);
+  sim::DeviceVector<u8> alive(num_arcs, 1);
 
   const u64 prop_threads =
       std::max<u64>(1, (num_arcs + opt.edges_per_thread - 1) /
@@ -271,8 +266,9 @@ Result run(sim::Device& dev, const graph::Csr& g, const Options& opt) {
     u32 inner_n = 0;
     while (true) {
       ++inner_n;
-      vin_snap = vin;  // launch-start snapshot (a device-side copy)
-      vout_snap = vout;
+      // Launch-start snapshot (a device-side copy).
+      vin_snap.assign(vin.begin(), vin.end());
+      vout_snap.assign(vout.begin(), vout.end());
       std::fill(block_updates.begin(), block_updates.end(), 0);
       std::fill(repeats.begin(), repeats.end(), 0);
       sim::ops::block_jacobi(

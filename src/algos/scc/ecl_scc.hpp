@@ -47,7 +47,8 @@ struct Options {
 };
 
 struct Result {
-  std::vector<vidx> scc_id;  ///< SCC identifier per vertex (a member's id)
+  /// SCC identifier per vertex (a member's id).
+  sim::DeviceVector<vidx> scc_id;
   usize num_sccs = 0;
   u32 outer_iterations = 0;             ///< final m
   std::vector<u32> inner_per_outer;     ///< propagation launches (n) per m

@@ -1,6 +1,7 @@
 #include "serve/job.hpp"
 
 #include <cstdio>
+#include <span>
 
 #include "algos/cc/ecl_cc.hpp"
 #include "algos/gc/ecl_gc.hpp"
@@ -18,14 +19,14 @@ namespace eclp::serve {
 
 namespace {
 
-/// 32-hex content fingerprint of a solution vector (same 128-bit mix the
+/// 32-hex content fingerprint of a solution array (same 128-bit mix the
 /// graph cache keys use) — the cheap stand-in for shipping whole label
 /// arrays through response files.
 template <typename T>
-std::string checksum_of(const std::vector<T>& v) {
+std::string checksum_of(std::span<const T> v) {
   graph::CacheKey key;
   key.mix(std::string_view(reinterpret_cast<const char*>(v.data()),
-                           v.size() * sizeof(T)));
+                           v.size_bytes()));
   return key.hex();
 }
 
@@ -101,7 +102,7 @@ JobOutcome run_job(sim::Device& dev, const graph::Csr& g, const Request& req) {
       }
       out.summary = line("CC: %zu components", components);
       out.modeled_cycles = res.modeled_cycles;
-      out.checksum = checksum_of(res.labels);
+      out.checksum = checksum_of<vidx>(res.labels);
       if (req.verify) out.verified = algos::cc::verify(g, res.labels);
       out.after = line(
           "init traversals %llu over %llu vertices (ratio %.2f)\n",
@@ -117,7 +118,7 @@ JobOutcome run_job(sim::Device& dev, const graph::Csr& g, const Request& req) {
       out.summary = line("GC: %u colors in %llu rounds", res.num_colors,
                          static_cast<ull>(res.host_iterations));
       out.modeled_cycles = res.modeled_cycles;
-      out.checksum = checksum_of(res.colors);
+      out.checksum = checksum_of<u32>(res.colors);
       if (req.verify) out.verified = algos::gc::verify(g, res.colors);
       verified_note = "verified: proper coloring.\n";
       break;
@@ -129,7 +130,7 @@ JobOutcome run_job(sim::Device& dev, const graph::Csr& g, const Request& req) {
                         res.metrics.iterations.mean,
                         res.metrics.iterations.max);
       out.modeled_cycles = res.modeled_cycles;
-      out.checksum = checksum_of(res.status);
+      out.checksum = checksum_of<u8>(res.status);
       if (req.verify) out.verified = algos::mis::verify(g, res.status);
       verified_note = "verified: independent and maximal.\n";
       break;
@@ -141,7 +142,7 @@ JobOutcome run_job(sim::Device& dev, const graph::Csr& g, const Request& req) {
       out.detail =
           line(", %llu iterations", static_cast<ull>(res.host_iterations));
       out.modeled_cycles = res.modeled_cycles;
-      out.checksum = checksum_of(res.in_mst);
+      out.checksum = checksum_of<u8>(res.in_mst);
       if (req.verify) out.verified = algos::mst::verify(g, res);
       verified_note = "verified against Kruskal.\n";
       break;
@@ -151,7 +152,7 @@ JobOutcome run_job(sim::Device& dev, const graph::Csr& g, const Request& req) {
       out.summary = line("SCC: %zu components in m = %u rounds",
                          res.num_sccs, res.outer_iterations);
       out.modeled_cycles = res.modeled_cycles;
-      out.checksum = checksum_of(res.scc_id);
+      out.checksum = checksum_of<vidx>(res.scc_id);
       if (req.verify) out.verified = algos::scc::verify(g, res.scc_id);
       verified_note = "verified against Tarjan.\n";
       break;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "support/check.hpp"
 
@@ -91,44 +92,6 @@ bool CacheSim::access(std::uintptr_t addr) {
   return false;
 }
 
-void BufferMap::add(const void* base, usize bytes) {
-  if (bytes == 0) return;
-  const auto begin = reinterpret_cast<std::uintptr_t>(base);
-  const std::uintptr_t end = begin + bytes;
-  // Replace anything the new span overlaps: a reused device can see a
-  // fresh vector recycled onto an old allocation's address range.
-  std::erase_if(spans_, [&](const Span& s) {
-    return s.begin < end && begin < s.end;
-  });
-  Span span;
-  span.begin = begin;
-  span.end = end;
-  span.norm = cursor_;
-  cursor_ += (bytes + kPage - 1) / kPage * kPage + kPage;  // + guard page
-  spans_.insert(std::upper_bound(spans_.begin(), spans_.end(), span,
-                                 [](const Span& a, const Span& b) {
-                                   return a.begin < b.begin;
-                                 }),
-                span);
-}
-
-void BufferMap::clear() {
-  spans_.clear();
-  cursor_ = kNormBase;
-}
-
-std::uintptr_t BufferMap::normalize(std::uintptr_t addr) const {
-  // Last span with begin <= addr (spans are sorted and disjoint).
-  auto it = std::upper_bound(spans_.begin(), spans_.end(), addr,
-                             [](std::uintptr_t a, const Span& s) {
-                               return a < s.begin;
-                             });
-  if (it == spans_.begin()) return addr;
-  --it;
-  if (addr >= it->end) return addr;
-  return it->norm + (addr - it->begin);
-}
-
 CacheConfig parse_cache_config(const std::string& spec) {
   CacheConfig cfg;
   if (spec.empty() || spec == "off") return cfg;
@@ -143,10 +106,16 @@ CacheConfig parse_cache_config(const std::string& spec) {
     ECLP_CHECK_MSG(!part.empty() && ((i < 2) == (end != std::string::npos)),
                    "llc spec must be off, on, or LINE:WAYS:SETS, got '"
                        << spec << "'");
-    for (char c : part)
+    u64 value = 0;
+    for (char c : part) {
       ECLP_CHECK_MSG(c >= '0' && c <= '9',
                      "llc spec field must be numeric, got '" << part << "'");
-    vals[i] = static_cast<u32>(std::stoul(part));
+      value = value * 10 + static_cast<u64>(c - '0');
+      ECLP_CHECK_MSG(value <= std::numeric_limits<u32>::max(),
+                     "llc spec field does not fit 32 bits in '" << spec
+                                                                << "'");
+    }
+    vals[i] = static_cast<u32>(value);
     pos = end == std::string::npos ? spec.size() : end + 1;
   }
   cfg.line_bytes = vals[0];
@@ -155,6 +124,13 @@ CacheConfig parse_cache_config(const std::string& spec) {
   ECLP_CHECK_MSG(is_pow2(cfg.line_bytes) && is_pow2(cfg.sets) && cfg.ways >= 1,
                  "llc spec needs power-of-two line/sets and ways >= 1, got '"
                      << spec << "'");
+  ECLP_CHECK_MSG(cfg.line_bytes <= kDevicePage,
+                 "llc line may be at most " << kDevicePage
+                                            << " bytes, got '" << spec << "'");
+  ECLP_CHECK_MSG(u64{cfg.sets} * cfg.ways <= kMaxCacheEntries,
+                 "llc sets x ways may be at most " << kMaxCacheEntries
+                                                   << ", got '" << spec
+                                                   << "'");
   return cfg;
 }
 

@@ -15,19 +15,16 @@
 //    be worker-count-invariant (the block-independent launch contract), so
 //    its private cache sees the same accesses in the same order no matter
 //    how many host workers execute the launch;
-//  * buffer normalization (BufferMap): device buffers are host std::vectors
-//    whose base addresses — and therefore how their elements group into
-//    cache lines — depend on allocator history. Algorithms register their
-//    state arrays with Device::register_buffer, which maps each one to a
-//    page-aligned base in a synthetic address space in registration order
-//    (mirroring how cudaMalloc returns aligned allocations on real GPUs).
-//    Classified accesses are translated before they reach the tag array,
-//    so line grouping is a function of element indices alone;
-//  * first-touch line renaming: normalized addresses are grouped into
-//    lines by `line_bytes`, then each distinct line is renamed to a dense
-//    id in first-touch order *within the block*. Set indexing and tag
-//    matching use only the dense id, so even unregistered (fallback)
-//    addresses never leak absolute bits into the set mapping.
+//  * page-aligned device memory: every array a kernel touches through
+//    ThreadCtx::load/store/atomic_* is a sim::DeviceVector, whose storage
+//    starts on a kDevicePage boundary (as cudaMalloc's allocations do).
+//    Lines are at most one page long, so which elements share a line
+//    depends on element indices alone, and two arrays never share one;
+//  * first-touch line renaming: addresses are grouped into lines by
+//    `line_bytes`, then each distinct line is renamed to a dense id in
+//    first-touch order *within the block*. Set indexing and tag matching
+//    use only the dense id, so absolute addresses never reach the set
+//    mapping.
 //
 // See docs/SIMULATOR.md ("Modeled LLC") for the full argument and the
 // model's deliberate simplifications.
@@ -77,48 +74,22 @@ class alignas(64) CacheSim {
   usize rename_count_ = 0;
 };
 
-/// Translates registered device-buffer addresses into a stable synthetic
-/// address space so the modeled cache sees the same line grouping no
-/// matter where the host allocator placed the vectors. Bases are assigned
-/// in registration order, page-aligned, with a guard page between buffers
-/// (so consecutive buffers never share a modeled line — the analogue of
-/// cudaMalloc's alignment guarantee). Unregistered addresses pass through
-/// untranslated: a single scalar (host-side counter, stack flag) occupies
-/// one line wherever it lives, so raw addresses are harmless for them.
-class BufferMap {
- public:
-  /// Register [base, base+bytes); overlapping earlier spans are replaced
-  /// (a device reused across runs sees fresh vectors at recycled
-  /// addresses). Zero-length spans are ignored.
-  void add(const void* base, usize bytes);
-  void clear();
-
-  /// Synthetic address for classified accesses; identity for addresses
-  /// outside every registered span.
-  std::uintptr_t normalize(std::uintptr_t addr) const;
-
-  usize size() const { return spans_.size(); }
-
- private:
-  struct Span {
-    std::uintptr_t begin = 0;
-    std::uintptr_t end = 0;
-    std::uintptr_t norm = 0;  ///< synthetic base for `begin`
-  };
-  std::vector<Span> spans_;  ///< sorted by begin, non-overlapping
-  // Synthetic bases grow from a high non-canonical-looking base so they
-  // can never collide with real fallback addresses.
-  std::uintptr_t cursor_ = kNormBase;
-  static constexpr std::uintptr_t kNormBase = std::uintptr_t{1} << 62;
-  static constexpr std::uintptr_t kPage = 4096;
-};
+/// Alignment of every device allocation (sim::DeviceAllocator, the
+/// cudaMalloc analogue). A line may be at most this long, so an array's
+/// line grouping depends on element indices alone.
+inline constexpr u32 kDevicePage = 4096;
+/// Largest sets x ways a spec may ask for: every block of a launch sizes
+/// its own slice at that many tag and stamp entries.
+inline constexpr u64 kMaxCacheEntries = 65536;
 
 /// Parse a --llc / request "llc" spec:
 ///   ""            -> disabled (the default model)
 ///   "off"         -> disabled
 ///   "on"          -> enabled with the CacheConfig defaults
 ///   "L:W:S"       -> enabled with line_bytes L, ways W, sets S
-/// Throws CheckFailure on anything else.
+/// Throws CheckFailure on anything else, naming the spec: a field that does
+/// not fit u32, a line above kDevicePage, or sets x ways above
+/// kMaxCacheEntries.
 CacheConfig parse_cache_config(const std::string& spec);
 
 /// Canonical spec string ("off" or "64:8:64") — stable across field

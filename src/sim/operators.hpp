@@ -34,14 +34,12 @@
 //    phase structure for free. No session attached -> one thread-local
 //    load, nothing else.
 //
-// State arrays: algorithms keep registering their state arrays with
-// Device::register_buffer — in the same deterministic code order as before
-// the port, because the modeled LLC normalizes addresses by registration
-// order (see BufferMap). Frontier/worklist vectors that are only indexed by
-// the host-side loop machinery (never through ThreadCtx::load/store) are
-// deliberately NOT registered: they model launch parameters, not device
-// state, and registering them would shift the normalized line grouping of
-// every later buffer.
+// State arrays: every array a kernel touches through ThreadCtx::load/
+// store/atomic_* is a sim::DeviceVector, whose page-aligned storage gives
+// the modeled LLC a line grouping that depends on element indices alone.
+// Frontier/worklist vectors that only the host-side loop machinery indexes
+// (never through ThreadCtx) stay std::vector: they model launch
+// parameters, not device state, and the LLC never sees them.
 //
 // Empty frontiers: operators always launch (a launch is observable in
 // kernel counts and spans). Algorithms that skip a launch when its bin or

@@ -29,8 +29,8 @@ namespace eclp::algos::baselines {
 namespace {
 
 /// FNV-1a over each value's eight little-endian bytes.
-template <typename T>
-u64 checksum(const std::vector<T>& values) {
+template <typename T, typename A>
+u64 checksum(const std::vector<T, A>& values) {
   u64 hash = 0xcbf29ce484222325ULL;
   for (const T& v : values) {
     const u64 x = static_cast<u64>(v);

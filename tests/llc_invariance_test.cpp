@@ -5,9 +5,13 @@
 // order, so every modeled quantity — cycles, hit and miss counts — must be
 // bit-identical whether the blocks run on 1 host thread or N. This is the
 // LLC extension of the determinism_test invariant; it runs all five codes
-// with the cache enabled at 1/2/7 sim-threads.
+// with the cache enabled at 1/2/7 sim-threads. Heap placement is one more
+// input: every digest is also taken at 1 sim-thread behind a few odd-sized
+// allocations, which move the arrays a run allocates to other offsets, and
+// page-aligned device memory must keep every count unchanged.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,6 +58,17 @@ LlcDigest run_with_workers(u32 workers, u64 seed, Body&& body) {
   return d;
 }
 
+/// Allocations of sizes that are not multiples of a line, held while a run
+/// allocates its arrays so those land at other offsets than in a run
+/// without them.
+std::vector<std::unique_ptr<char[]>> hold_odd_allocations() {
+  std::vector<std::unique_ptr<char[]>> held;
+  for (const usize bytes : {24, 40, 200, 3000, 8200}) {
+    held.push_back(std::make_unique<char[]>(bytes));
+  }
+  return held;
+}
+
 template <typename Body>
 void expect_invariant(const std::string& algo, Body&& body) {
   for (const u64 seed : kSeeds) {
@@ -70,6 +85,9 @@ void expect_invariant(const std::string& algo, Body&& body) {
       EXPECT_EQ(d, base) << algo << " seed=" << seed << " workers="
                          << workers;
     }
+    const auto held = hold_odd_allocations();
+    EXPECT_EQ(run_with_workers(1, seed, body), base)
+        << algo << " seed=" << seed << " behind odd-sized allocations";
   }
 }
 

@@ -420,19 +420,19 @@ TEST(Operators, AdvanceUnderModeledLlcMatchesHandRolledHitsAndMisses) {
                     .edge_charge = Shape::EdgeCharge::kCoalesced};
   const LaunchConfig cfg = blocks_for(frontier.size(), 4);
 
-  // Classified per-edge loads into a registered label array: the access
+  // Classified per-edge loads into a device label array: the access
   // sequence (and so every LLC hit/miss) must survive the port verbatim.
+  using Labels = sim::DeviceVector<u32>;
   const auto run = [&](auto&& launcher) {
     Device dev(llc_cost());
-    std::vector<u32> labels(n, 7);
-    dev.register_buffer(labels);
+    Labels labels(n, 7);
     u64 sum = 0;
     launcher(dev, labels, sum);
     return std::tuple{dev.total_cycles(), dev.llc_hits(), dev.llc_misses(),
                       sum};
   };
 
-  const auto hand = run([&](Device& dev, std::vector<u32>& labels, u64& sum) {
+  const auto hand = run([&](Device& dev, Labels& labels, u64& sum) {
     hand_advance(dev, "chase", cfg, g, frontier, shape,
                  [](ThreadCtx&, vidx, u32) { return 0; },
                  [&](ThreadCtx& ctx, int&, vidx, vidx u) {
@@ -440,7 +440,7 @@ TEST(Operators, AdvanceUnderModeledLlcMatchesHandRolledHitsAndMisses) {
                  },
                  ops::NoLeave{});
   });
-  const auto op = run([&](Device& dev, std::vector<u32>& labels, u64& sum) {
+  const auto op = run([&](Device& dev, Labels& labels, u64& sum) {
     ops::advance(dev, "chase", cfg, g, frontier, shape,
                  [](ThreadCtx&, vidx, u32) { return 0; },
                  [&](ThreadCtx& ctx, int&, vidx, vidx u) {

@@ -200,7 +200,7 @@ TEST(MisOptions, ResultIndependentOfVisibilityAndPacing) {
   // ECL-MIS is deterministic in its final result (paper §3): the priority
   // order fully determines the set, whatever the schedule or pacing.
   const auto g = gen::preferential_attachment(6000, 5, 23);
-  std::vector<u8> first;
+  sim::DeviceVector<u8> first;
   for (const auto vis :
        {mis::Visibility::kImmediate, mis::Visibility::kRoundSnapshot}) {
     for (const u64 q : {0ull, 48ull, 512ull}) {

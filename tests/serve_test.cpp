@@ -45,8 +45,8 @@ namespace eclp {
 namespace {
 
 /// Same 128-bit content mix Server uses for response checksums.
-template <typename T>
-std::string checksum_of(const std::vector<T>& v) {
+template <typename T, typename A>
+std::string checksum_of(const std::vector<T, A>& v) {
   graph::CacheKey key;
   key.mix(std::string_view(reinterpret_cast<const char*>(v.data()),
                            v.size() * sizeof(T)));
@@ -511,18 +511,22 @@ TEST(Server, MalformedReorderSpecBecomesATypedError) {
   serve::Request bad_llc =
       make_request("bad-llc", serve::Algo::kCc, "rmat16.sym");
   bad_llc.llc = "64:8";
+  serve::Request huge_llc =
+      make_request("huge-llc", serve::Algo::kCc, "rmat16.sym");
+  huge_llc.llc = "99999999999999999999:8:64";
   serve::Request missing = make_request("missing", serve::Algo::kCc, "");
   missing.file = "no-such-dir/missing.mtx";
-  const auto responses = server.serve({bad, bad_llc, missing});
-  ASSERT_EQ(responses.size(), 3u);
+  const auto responses = server.serve({bad, bad_llc, huge_llc, missing});
+  ASSERT_EQ(responses.size(), 4u);
   // The response carries the check's own text: the same request gives the
   // same line from any checkout, with no source file or line in it.
   const std::string expected[] = {
       "unknown reorder spec 'zorder' (expected natural, random[:SEED], bfs, "
       "degree, hub, hubcluster, gorder[:WINDOW])",
       "llc spec must be off, on, or LINE:WAYS:SETS, got '64:8'",
+      "llc spec field does not fit 32 bits in '99999999999999999999:8:64'",
       "cannot open no-such-dir/missing.mtx"};
-  for (usize i = 0; i < 3; ++i) {
+  for (usize i = 0; i < 4; ++i) {
     EXPECT_EQ(responses[i].status, serve::Status::kError) << responses[i].id;
     EXPECT_EQ(responses[i].error, expected[i]) << responses[i].id;
     EXPECT_EQ(responses[i].error.find(".cpp:"), std::string::npos);
