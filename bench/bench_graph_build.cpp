@@ -62,22 +62,14 @@ std::string bytes_of(const graph::Csr& g) {
   return std::move(ss).str();
 }
 
+using harness::add_spread;
+using harness::Spread;
+using harness::spread_of;
+
 /// Wall time of repeated fn() calls, in milliseconds: the median and the
-/// fastest and slowest run, so a table can show its spread.
-struct RunsMs {
-  double median;
-  double min;
-  double max;
-};
-
-/// Median, min and max of a non-empty sample.
-RunsMs spread_of(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  return {xs[xs.size() / 2], xs.front(), xs.back()};
-}
-
+/// fastest and slowest run.
 template <typename Fn>
-RunsMs median_ms(int runs, Fn&& fn) {
+Spread median_ms(int runs, Fn&& fn) {
   std::vector<double> ms;
   for (int r = 0; r < runs; ++r) {
     Timer t;
@@ -85,13 +77,6 @@ RunsMs median_ms(int runs, Fn&& fn) {
     ms.push_back(t.milliseconds());
   }
   return spread_of(std::move(ms));
-}
-
-/// A median cell followed by its min and max cells.
-void add_spread(std::vector<std::string>& row, const RunsMs& s, int digits) {
-  row.push_back(fmt::fixed(s.median, digits));
-  row.push_back(fmt::fixed(s.min, digits));
-  row.push_back(fmt::fixed(s.max, digits));
 }
 
 /// Extract the raw edge list (and vertex count) a suite input's CSR
@@ -193,7 +178,7 @@ int main(int argc, char** argv) {
 
       set_build_threads(1);  // the pipeline runs inline on the caller
       graph::Csr one_g;
-      const RunsMs one = median_ms(
+      const Spread one = median_ms(
           ctx.runs, [&] { one_g = graph::from_edges(n, edges, opt); });
 
       set_build_threads(fan_threads);
@@ -201,7 +186,7 @@ int main(int argc, char** argv) {
       ECLP_CHECK(pool != nullptr);
       ECLP_CHECK(pool->claim_sampling());
       graph::Csr n_g;
-      const RunsMs many = median_ms(
+      const Spread many = median_ms(
           ctx.runs, [&] { n_g = graph::from_edges(n, edges, opt); });
       pool->release_sampling();
 
@@ -279,9 +264,9 @@ int main(int argc, char** argv) {
     }
     for (const auto& f : fmts) {
       set_build_threads(1);
-      const RunsMs one = median_ms(ctx.runs, [&] { f.parse(); });
+      const Spread one = median_ms(ctx.runs, [&] { f.parse(); });
       set_build_threads(fan_threads);
-      const RunsMs many = median_ms(ctx.runs, [&] { f.parse(); });
+      const Spread many = median_ms(ctx.runs, [&] { f.parse(); });
       t.add_row({f.name, std::to_string(f.text.size()),
                  fmt::fixed(one.median, 2), fmt::fixed(one.min, 2),
                  fmt::fixed(one.max, 2), fmt::fixed(many.median, 2),
@@ -418,7 +403,7 @@ int main(int argc, char** argv) {
     const double medges = static_cast<double>(source.estimated_edges()) / 1e6;
     for (const u32 n_threads : {1u, 2u, 4u, 7u}) {
       set_build_threads(n_threads);
-      const RunsMs ms = median_ms(ctx.runs, [&] {
+      const Spread ms = median_ms(ctx.runs, [&] {
         ECLP_CHECK(graph::build_from_chunks(source).num_edges() > 0);
       });
       std::vector<std::string> cells = {std::to_string(n_threads)};

@@ -18,8 +18,9 @@
 //                         per-thread work table — the pre-refactor charge()
 //                         pattern (indexed read-modify-write per op).
 //
-// Reported as ns per simulated thread (median of --runs), with speedups
-// relative to the erased/per-op combination, i.e. the old substrate. Run
+// Reported as ns per simulated thread (median of --runs, with the fastest
+// and slowest run beside it), with speedups of the medians relative to the
+// erased/per-op combination, i.e. the old substrate. Run
 //
 //   bench_substrate_dispatch --json BENCH_substrate_dispatch.json
 //
@@ -83,11 +84,11 @@ struct Kernel {
 };
 
 struct Sample {
-  double ns_per_thread = 0;
+  harness::Spread ns_per_thread{};
   u64 modeled_cycles = 0;
 };
 
-/// Median ns/simulated-thread for one launch variant over ctx.runs runs.
+/// ns/simulated-thread for one launch variant over ctx.runs runs.
 template <typename LaunchFn>
 Sample measure(const harness::BenchContext& ctx, u32 total_threads,
                LaunchFn&& launch_once) {
@@ -103,8 +104,7 @@ Sample measure(const harness::BenchContext& ctx, u32 total_threads,
                     (static_cast<double>(kLaunchesPerRun) * total_threads));
     sample.modeled_cycles = cycles;
   }
-  std::sort(times.begin(), times.end());
-  sample.ns_per_thread = times[times.size() / 2];
+  sample.ns_per_thread = harness::spread_of(std::move(times));
   return sample;
 }
 
@@ -147,12 +147,12 @@ PairSample measure_pair(const harness::BenchContext& ctx, u32 total_threads,
     op_ns.push_back(op_timer.seconds() * 1e9 /
                     (static_cast<double>(kLaunchesPerRun) * total_threads));
   }
-  pair.hand.ns_per_thread = *std::min_element(hand_ns.begin(), hand_ns.end());
-  pair.op.ns_per_thread = *std::min_element(op_ns.begin(), op_ns.end());
   std::vector<double> ratios(hand_ns.size());
   for (usize r = 0; r < ratios.size(); ++r) ratios[r] = op_ns[r] / hand_ns[r];
   std::sort(ratios.begin(), ratios.end());
   pair.overhead_pct = (ratios[ratios.size() / 2] - 1.0) * 100.0;
+  pair.hand.ns_per_thread = harness::spread_of(std::move(hand_ns));
+  pair.op.ns_per_thread = harness::spread_of(std::move(op_ns));
   return pair;
 }
 
@@ -196,18 +196,20 @@ int main(int argc, char** argv) {
   ECLP_CHECK(s_tpl_perop.modeled_cycles == s_er_batched.modeled_cycles);
   ECLP_CHECK(s_tpl_batched.modeled_cycles == s_tpl_perop.modeled_cycles);
 
-  const double baseline = s_er_perop.ns_per_thread;
+  const double baseline = s_er_perop.ns_per_thread.median;
   const auto add = [&](Table& t, const char* dispatch, const char* charging,
                        const Sample& s) {
-    t.add_row({dispatch, charging, fmt::fixed(s.ns_per_thread, 2),
-               fmt::fixed(baseline / s.ns_per_thread, 2) + "x",
-               fmt::grouped(s.modeled_cycles)});
+    std::vector<std::string> row = {dispatch, charging};
+    harness::add_spread(row, s.ns_per_thread, 2);
+    row.push_back(fmt::fixed(baseline / s.ns_per_thread.median, 2) + "x");
+    row.push_back(fmt::grouped(s.modeled_cycles));
+    t.add_row(row);
   };
 
   Table t("Substrate dispatch — ns per simulated thread (" +
           std::to_string(kElemsPerThread) + " charged ops each)");
-  t.set_header({"dispatch", "charging", "ns/thread", "speedup vs erased/per-op",
-                "modeled cycles"});
+  t.set_header({"dispatch", "charging", "ns/thread", "ns/thread min",
+                "ns/thread max", "speedup vs erased/per-op", "modeled cycles"});
   add(t, "erased", "per-op", s_er_perop);
   add(t, "erased", "batched", s_er_batched);
   add(t, "template", "per-op", s_tpl_perop);
@@ -314,7 +316,7 @@ int main(int argc, char** argv) {
 
   const auto add_op = [&](Table& table, const char* op, const char* path,
                           const Sample& s, double overhead_pct) {
-    table.add_row({op, path, fmt::fixed(s.ns_per_thread, 2),
+    table.add_row({op, path, fmt::fixed(s.ns_per_thread.min, 2),
                    fmt::fixed(overhead_pct, 1) + "%",
                    fmt::grouped(s.modeled_cycles)});
   };

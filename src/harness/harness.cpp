@@ -1,5 +1,6 @@
 #include "harness/harness.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -187,6 +188,18 @@ void emit_raw(const BenchContext& ctx, const std::string& file_name,
     return;
   }
   os << contents;
+}
+
+Spread spread_of(std::vector<double> xs) {
+  ECLP_CHECK(!xs.empty());
+  std::sort(xs.begin(), xs.end());
+  return {xs[xs.size() / 2], xs.front(), xs.back()};
+}
+
+void add_spread(std::vector<std::string>& row, const Spread& s, int digits) {
+  row.push_back(fmt::fixed(s.median, digits));
+  row.push_back(fmt::fixed(s.min, digits));
+  row.push_back(fmt::fixed(s.max, digits));
 }
 
 void report_correlation(const std::string& label,

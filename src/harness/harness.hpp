@@ -72,6 +72,20 @@ void emit(const BenchContext& ctx, const std::string& experiment_id,
 void emit_raw(const BenchContext& ctx, const std::string& file_name,
               const std::string& contents);
 
+/// The median of repeated measurements next to the fastest (or smallest)
+/// and slowest (or largest) one, so a table can show its spread.
+struct Spread {
+  double median;
+  double min;
+  double max;
+};
+
+/// Median, min and max of a non-empty sample.
+Spread spread_of(std::vector<double> xs);
+
+/// Append a median cell followed by its min and max cells.
+void add_spread(std::vector<std::string>& row, const Spread& s, int digits);
+
 /// Print a labelled correlation line (the r values the paper quotes inline).
 void report_correlation(const std::string& label,
                         std::span<const double> xs,
